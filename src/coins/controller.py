@@ -20,7 +20,6 @@ from typing import Iterable
 
 import numpy as np
 
-from . import tensor as T
 from .data.serialize import (
     ABLATION_MODES,
     MODE_FULL,
@@ -35,7 +34,7 @@ from .data.serialize import (
 from .data.types import RelationType, SilverPair, StoryState
 from .decode import DecodeConfig, DecodeResult, beam_search, lm_logprob_fn
 from .errors import SchemaError
-from .model import Lm, forward
+from .model import Lm, forward_cached
 from .vocab import Vocab, decode as vocab_decode, encode as vocab_encode
 
 log = logging.getLogger(__name__)
@@ -166,7 +165,8 @@ def gen_inference_rules(
     split the output on the rule delimiter. Returns (rules, prompt)."""
     prompt = csi_source(state, selected, relation)
     ids = vocab_encode(prompt, vocab)
-    result = beam_search(lm_logprob_fn(csi), ids, cfg.rule_decode)
+    decode_cfg = cfg.rule_decode.fit(len(ids), csi.config.max_positions)
+    result = beam_search(lm_logprob_fn(csi), ids, decode_cfg)
     text = _detok(result.ids, len(ids), vocab)
     rules = split_rules(text)
     if not rules:
@@ -242,9 +242,8 @@ def _rule_block_states(sentence_model: Lm, vocab: Vocab, prompt: str, rules_text
         return np.zeros((0, sentence_model.config.hidden), dtype=np.float32)
     ids = vocab_encode(prompt, vocab)
     rule_ids = vocab_encode(rules_text, vocab)
-    with T.no_grad():
-        _, hf = forward(sentence_model.params, sentence_model.config, ids, return_hidden=True)
-    return np.asarray(hf.data[1 : 1 + len(rule_ids)], dtype=np.float32)
+    _, hf, _ = forward_cached(sentence_model.params, sentence_model.config, [ids])
+    return np.asarray(hf[0, 1 : 1 + len(rule_ids)], dtype=np.float32)
 
 
 def _run_loop(

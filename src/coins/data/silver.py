@@ -19,7 +19,7 @@ log = logging.getLogger(__name__)
 def _decode_rules(csi: Lm, vocab: Vocab, prompt: str, cfg: DecodeConfig) -> list[str]:
     ids = vocab_encode(prompt, vocab)
     try:
-        result = beam_search(lm_logprob_fn(csi), ids, cfg)
+        result = beam_search(lm_logprob_fn(csi), ids, cfg.fit(len(ids), csi.config.max_positions))
     except Exception:
         log.exception("rule decode failed for prompt %r", prompt[:60])
         return []

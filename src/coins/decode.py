@@ -1,22 +1,25 @@
-"""Greedy and beam-search decoding over any next-token log-prob source.
+"""Greedy and beam-search decoding over any batched next-token log-prob source.
 
-The decoder only needs a callable ``logprob_fn(ids) -> (V,) log-probs``,
-so trained transformers and hand-built tabular test models share the
-same code path. Everything is deterministic: candidate ordering breaks
-score ties by token id, then lexicographically by sequence.
+The decoder only needs a callable ``logprob_fn(batch) -> (n, V)
+log-probs``, called once per step with the ids of every live hypothesis
+in beam order, so trained transformers and hand-built tabular test
+models share the same code path. Everything is deterministic: candidate
+ordering breaks score ties by token id, then lexicographically by
+sequence.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import tensor as T
-from .model import Lm, forward
+from .model import Lm, forward_cached
 
-LogprobFn = Callable[[tuple[int, ...]], np.ndarray]
+LogprobFn = Callable[[Sequence[tuple[int, ...]]], np.ndarray]
 
 
 @dataclass
@@ -29,6 +32,12 @@ class DecodeConfig:
     def __post_init__(self):
         if self.beam_width < 1 or self.max_new_tokens < 1:
             raise ValueError("beam_width and max_new_tokens must be >= 1")
+
+    def fit(self, prompt_len: int, max_positions: int) -> "DecodeConfig":
+        """This config with the token budget capped at the positions left
+        after a ``prompt_len``-token prompt (at least one token)."""
+        budget = max(1, min(self.max_new_tokens, max_positions - prompt_len))
+        return dataclasses.replace(self, max_new_tokens=budget)
 
     def to_json(self) -> dict:
         return {
@@ -77,8 +86,8 @@ def beam_search(logprob_fn: LogprobFn, prefix: Sequence[int], config: DecodeConf
 
     for _ in range(config.max_new_tokens):
         cands: list[BeamHypothesis] = []
-        for hyp in live:
-            lp = np.asarray(logprob_fn(hyp.ids), dtype=np.float64)
+        lps = np.asarray(logprob_fn([hyp.ids for hyp in live]), dtype=np.float64)
+        for hyp, lp in zip(live, lps):
             order = np.lexsort((np.arange(lp.shape[0]), -lp))[:width]
             for tok in order:
                 tok = int(tok)
@@ -120,12 +129,28 @@ def greedy(logprob_fn: LogprobFn, prefix: Sequence[int], config: DecodeConfig) -
 
 
 def lm_logprob_fn(lm: Lm) -> LogprobFn:
-    """Adapter: next-token log-probs from a transformer, grads disabled."""
+    """Batched next-token log-probs from a transformer, with a key/value cache.
 
-    def fn(ids: tuple[int, ...]) -> np.ndarray:
-        with T.no_grad():
-            logits = forward(lm.params, lm.config, np.asarray(ids, dtype=np.intp))
-        z = logits.data[-1].astype(np.float64)
-        return T.log_softmax_rows(z[None, :])[0]
+    A call whose hypotheses each extend a row of the previous call by one
+    token gathers those parent rows' keys and values and runs one
+    (n, 1) step; any other call (the first of a decode) prefills its
+    hypotheses whole. Only the previous call's rows are kept, so the
+    cache holds at most beam width x max_positions entries per layer.
+    """
+    rows: dict[tuple[int, ...], int] = {}
+    cache = None
+
+    def fn(batch: Sequence[tuple[int, ...]]) -> np.ndarray:
+        nonlocal rows, cache
+        batch = [tuple(ids) for ids in batch]
+        parents = [rows.get(ids[:-1]) for ids in batch]
+        if cache is not None and None not in parents:
+            idx = np.asarray(parents, dtype=np.intp)
+            past = [(k[idx], v[idx]) for k, v in cache]
+            logits, _, cache = forward_cached(lm.params, lm.config, [ids[-1:] for ids in batch], past)
+        else:
+            logits, _, cache = forward_cached(lm.params, lm.config, batch)
+        rows = {ids: i for i, ids in enumerate(batch)}
+        return T.log_softmax_rows(logits[:, -1].astype(np.float64))
 
     return fn

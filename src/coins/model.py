@@ -117,8 +117,7 @@ def forward(
     *,
     train: bool = False,
     rng: np.random.Generator | None = None,
-    return_hidden: bool = False,
-):
+) -> Tensor:
     """Logits (T, V) for next-token prediction at every position.
 
     Position p's logits depend only on ids[:p+1]; attention to future
@@ -166,10 +165,76 @@ def forward(
 
     hf = _affine_ln(h, params["ln_f.g"], params["ln_f.b"])
     proj = params["tok_emb"] if config.tie_output_to_embedding else params["out_proj"]
-    logits = T.matmul(hf, T.transpose(proj))
-    if return_hidden:
-        return logits, hf
-    return logits
+    return T.matmul(hf, T.transpose(proj))
+
+
+KvCache = list[tuple[np.ndarray, np.ndarray]]
+
+
+def _ln_array(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    mu = x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + LN_EPS)
+    return (x - mu) * inv * g + b
+
+
+def forward_cached(
+    params: dict[str, Tensor],
+    config: LmConfig,
+    ids,
+    cache: KvCache | None = None,
+) -> tuple[np.ndarray, np.ndarray, KvCache]:
+    """Inference forward in plain numpy: no graph, no dropout.
+
+    ``ids`` (B, s) are new tokens that continue the ``cache`` positions:
+    one (keys, values) pair of shape (B, t, H) per layer, from an earlier
+    call. Returns logits (B, s, V), final-norm hidden states (B, s, H)
+    and the cache extended to t + s positions. Prefilling a prompt and
+    then feeding one token at a time gives the logits of
+    :func:`forward` on the whole sequence, up to float summation order.
+    """
+    ids = np.asarray(ids, dtype=np.intp)
+    B, s = ids.shape
+    t = 0 if cache is None else cache[0][0].shape[1]
+    if s == 0:
+        raise LengthError("empty input sequence")
+    if t + s > config.max_positions:
+        raise LengthError(f"sequence length {t + s} exceeds max_positions {config.max_positions}")
+    w = {k: v.data for k, v in params.items()}
+    H, nh = config.hidden, config.heads
+    dh = H // nh
+    att_scale = 1.0 / float(np.sqrt(dh))
+
+    # rows are (batch, position) pairs, flattened for the projections
+    h = (w["tok_emb"][ids] + w["pos_emb"][t : t + s]).reshape(B * s, H)
+    mask = np.triu(np.full((s, t + s), -np.inf, dtype=h.dtype), k=t + 1)
+    new_cache: KvCache = []
+    for b in range(config.layers):
+        p = f"h{b}."
+        a = _ln_array(h, w[p + "ln1.g"], w[p + "ln1.b"])
+        q = a @ w[p + "attn.wq"] + w[p + "attn.bq"]
+        k = (a @ w[p + "attn.wk"] + w[p + "attn.bk"]).reshape(B, s, H)
+        v = (a @ w[p + "attn.wv"] + w[p + "attn.bv"]).reshape(B, s, H)
+        if cache is not None:
+            k = np.concatenate([cache[b][0], k], axis=1)
+            v = np.concatenate([cache[b][1], v], axis=1)
+        new_cache.append((k, v))
+        qh = q.reshape(B, s, nh, dh).transpose(0, 2, 1, 3)
+        kh = k.reshape(B, t + s, nh, dh).transpose(0, 2, 3, 1)
+        vh = v.reshape(B, t + s, nh, dh).transpose(0, 2, 1, 3)
+        scores = (qh @ kh) * att_scale + mask
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        att = e / e.sum(axis=-1, keepdims=True)
+        o = (att @ vh).transpose(0, 2, 1, 3).reshape(B * s, H)
+        h = h + (o @ w[p + "attn.wo"] + w[p + "attn.bo"])
+
+        m = _ln_array(h, w[p + "ln2.g"], w[p + "ln2.b"])
+        m = T.gelu_tanh(m @ w[p + "mlp.w1"] + w[p + "mlp.b1"])[0]
+        h = h + (m @ w[p + "mlp.w2"] + w[p + "mlp.b2"])
+
+    hf = _ln_array(h, w["ln_f.g"], w["ln_f.b"])
+    proj = w["tok_emb"] if config.tie_output_to_embedding else w["out_proj"]
+    logits = hf @ proj.T
+    return logits.reshape(B, s, -1), hf.reshape(B, s, H), new_cache
 
 
 @dataclass(frozen=True)

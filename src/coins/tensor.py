@@ -312,11 +312,19 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
 
 
+def gelu_tanh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tanh-approximated GELU of ``x``, and the tanh term its derivative reuses.
+
+    The cube is ``x*x*x``: ``x**3`` takes numpy's general power path,
+    about 100x slower on float32.
+    """
+    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
+    return 0.5 * x * (1.0 + t), t
+
+
 def gelu(a: Tensor) -> Tensor:
     x = a.data
-    u = _GELU_C * (x + _GELU_A * x**3)
-    t = np.tanh(u)
-    y = 0.5 * x * (1.0 + t)
+    y, t = gelu_tanh(x)
 
     def back(g):
         du = _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)

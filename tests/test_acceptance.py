@@ -355,12 +355,12 @@ def test_criterion_8_beam_search():
         for seed in range(4):
             model = TabularModel(vocab_size, 1, seed=seed)
             want, want_score = enumerate_argmax(model, (0,), 3)
-            got = beam_search(model.logprob_fn, (0,),
+            got = beam_search(model.batch_logprob_fn, (0,),
                               DecodeConfig(beam_width=vocab_size**2, max_new_tokens=3))
             assert got.ids == want and got.score == pytest.approx(want_score)
             stop_model = TabularModel(vocab_size, 1, seed=100 + seed)
             want, want_score = enumerate_argmax(stop_model, (0,), 3, stop_token=0)
-            got = beam_search(stop_model.logprob_fn, (0,),
+            got = beam_search(stop_model.batch_logprob_fn, (0,),
                               DecodeConfig(beam_width=vocab_size**2, max_new_tokens=3, stop_token=0))
             assert got.ids == want and got.score == pytest.approx(want_score)
     for seed in range(100):
@@ -368,7 +368,7 @@ def test_criterion_8_beam_search():
         prefix = tuple(int(t) for t in rng.integers(0, 6, size=rng.integers(1, 5)))
         model = TabularModel(6, len(prefix), seed=seed)
         cfg = DecodeConfig(beam_width=1, max_new_tokens=4, stop_token=5)
-        assert beam_search(model.logprob_fn, prefix, cfg).ids == greedy(model.logprob_fn, prefix, cfg).ids
+        assert beam_search(model.batch_logprob_fn, prefix, cfg).ids == greedy(model.batch_logprob_fn, prefix, cfg).ids
     report(8, True, "beam equals enumeration (vocab<=5, len<=3, with and without stop); "
                     "beam-1 equals greedy on 100 prompts")
 

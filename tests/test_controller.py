@@ -69,6 +69,20 @@ def test_run_coins_iteration_counts(untrained, n, want):
     assert len(sentences) == len(memory) == len(trace.records) == want
 
 
+def test_rule_decodes_fit_position_budget():
+    # prompt plus the 48-token rule budget overflows 80 positions; the
+    # decode must shrink to fit instead of failing the iteration
+    vocab = train_vocab(["one two three four five six seven eight .", "#"])
+    cfg = LmConfig(vocab=len(vocab), layers=1, hidden=32, heads=2, max_positions=80, dropout_p=0.0)
+    models = CoinsModels(sentence=Lm(init_lm(cfg, np.random.default_rng(0)), cfg, "sentence"),
+                         csi=Lm(init_lm(cfg, np.random.default_rng(1)), cfg, "csi_gen"))
+    state = StoryState(prefix=("one two three four five six seven eight .",) * 3,
+                       ending="seven eight .")
+    sentences, _, trace = run_coins(models, vocab, state, 5, default_controller_config(vocab, beam=1))
+    assert len(sentences) == 2
+    assert [rec.error for rec in trace.records] == [None, None]
+
+
 def test_run_coins_rejects_short_story(untrained):
     vocab, models, cfg = untrained
     with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from coins.model import (
     baseline_lm_loss,
     csi_loss,
     forward,
+    forward_cached,
     init_lm,
     joint_step,
     load_model,
@@ -107,6 +108,70 @@ def test_full_model_gradients_match_finite_differences():
         return masked_nll(params, cfg, seq)
 
     check_tensor_grad(loss, params, rng, rel_tol=1e-3, h=1e-6, max_entries_per_leaf=3)
+
+
+# cached inference forward
+
+
+def prefill_then_steps(params, cfg, ids, n_prefill):
+    """Logits (len(ids), V) from prefilling n_prefill tokens, then one token per call."""
+    logits, _, cache = forward_cached(params, cfg, [ids[:n_prefill]])
+    rows = [logits[0]]
+    for tok in ids[n_prefill:]:
+        logits, _, cache = forward_cached(params, cfg, [[tok]], cache)
+        rows.append(logits[0])
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-10)])
+def test_cached_forward_matches_forward(dtype, tol):
+    params, cfg = toy_model(seed=4, dtype=dtype)
+    rng = np.random.default_rng(11)
+    for n_prefill in (1, 7, 20):
+        ids = rng.integers(0, cfg.vocab, size=cfg.max_positions)
+        with T.no_grad():
+            want = forward(params, cfg, ids).data
+        got = prefill_then_steps(params, cfg, ids, n_prefill)
+        assert got.dtype == dtype
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+
+def test_cached_forward_matches_forward_on_trained_model(overfit_world):
+    # a memorized model has peaked logits, so rounding differences show more
+    w = overfit_world
+    seq = w["items"][0].sentence_seq
+    with T.no_grad():
+        want = forward(w["theta"], w["cfg"], seq.ids).data
+    got = prefill_then_steps(w["theta"], w["cfg"], seq.ids, seq.start)
+    assert np.abs(want).max() > 5.0
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+def test_cached_batched_step_equals_rows_one_at_a_time(dtype, tol):
+    params, cfg = toy_model(seed=6, dtype=dtype)
+    rng = np.random.default_rng(12)
+    prompts = rng.integers(0, cfg.vocab, size=(5, 9))
+    nxt = rng.integers(0, cfg.vocab, size=(5, 1))
+    _, _, cache = forward_cached(params, cfg, prompts)
+    batched, hidden, cache = forward_cached(params, cfg, nxt, cache)
+    assert batched.shape == (5, 1, cfg.vocab) and hidden.shape == (5, 1, cfg.hidden)
+    assert all(k.shape == v.shape == (5, 10, cfg.hidden) for k, v in cache)
+    for i in range(5):
+        _, _, row_cache = forward_cached(params, cfg, prompts[i : i + 1])
+        row, _, _ = forward_cached(params, cfg, nxt[i : i + 1], row_cache)
+        np.testing.assert_allclose(batched[i], row[0], rtol=0, atol=tol)
+
+
+def test_cached_forward_rejects_overlong_input():
+    params, cfg = toy_model()
+    with pytest.raises(LengthError):
+        forward_cached(params, cfg, np.zeros((1, cfg.max_positions + 1), dtype=np.intp))
+    _, _, cache = forward_cached(params, cfg, np.zeros((2, cfg.max_positions), dtype=np.intp))
+    with pytest.raises(LengthError):
+        forward_cached(params, cfg, np.zeros((2, 1), dtype=np.intp), cache)
+    with pytest.raises(LengthError):
+        forward_cached(params, cfg, np.zeros((1, 0), dtype=np.intp))
 
 
 # losses

@@ -1,12 +1,15 @@
+import numpy as np
 import pytest
 
 from coins.controller import CoinsModels, default_controller_config, run_oracle
 from coins.data.corpus import read_nsc, write_nsc
 from coins.data.rules import render_rule
-from coins.data.silver import enrich_with_silver
-from coins.data.types import Flavor, initial_state
-from coins.model import Lm
-from coins.vocab import tokenize
+from coins.data.serialize import csi_source
+from coins.data.silver import _decode_rules, enrich_with_silver
+from coins.data.types import Flavor, RelationType, StoryState, initial_state
+from coins.decode import DecodeConfig
+from coins.model import Lm, LmConfig, init_lm
+from coins.vocab import encode, tokenize, train_vocab
 
 
 def csi_of(world):
@@ -77,3 +80,16 @@ def test_enrichment_requires_rule_model(overfit_world):
     wrong = Lm(w["theta"], w["cfg"], "sentence")
     with pytest.raises(ValueError):
         enrich_with_silver(wrong, w["examples"], w["vocab"], Flavor.GENERAL)
+
+
+def test_rule_decode_fits_position_budget():
+    # prompt plus the 48-token budget overflows 80 positions; the decode
+    # must shrink to fit, not fail into an empty bundle
+    vocab = train_vocab(["one two three four five six seven eight .", "#"])
+    cfg = LmConfig(vocab=len(vocab), layers=1, hidden=32, heads=2, max_positions=80, dropout_p=0.0)
+    csi = Lm(init_lm(cfg, np.random.default_rng(1)), cfg, "csi_gen")
+    state = StoryState(prefix=("one two three four five six seven eight .",) * 3, ending="seven eight .")
+    prompt = csi_source(state, state.current_sentence, RelationType.EFFECT)
+    decode_cfg = DecodeConfig(beam_width=1, max_new_tokens=48, stop_token=vocab.eos)
+    assert len(encode(prompt, vocab)) + decode_cfg.max_new_tokens > cfg.max_positions
+    assert _decode_rules(csi, vocab, prompt, decode_cfg)
