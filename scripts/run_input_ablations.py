@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from coins.controller import CoinsModels, default_controller_config, run_ablation
+from coins.controller import CoinsModels, complete_baseline, default_controller_config, run_ablation
 from coins.data import synthetic
 from coins.data.corpus import build_nsc_corpus
 from coins.data.rules import aggregate_rules
@@ -25,14 +25,13 @@ from coins.data.serialize import (
     MODE_IR_WO_SE,
     MODE_NO_IR_WO_SE,
     MODE_ORACLE,
-    baseline_prompt,
 )
 from coins.data.types import Flavor, RelationType, SilverPair, initial_state
-from coins.decode import DecodeConfig, beam_search, lm_logprob_fn
+from coins.decode import DecodeConfig
 from coins.metrics import EvalPair, bleu, rouge_l
 from coins.model import Lm, LmConfig, init_lm
-from coins.train import TrainConfig, build_baseline_seqs, build_joint_items, train_joint, train_lm
-from coins.vocab import decode as vdecode, encode, train_vocab
+from coins.train import TrainConfig, build_baseline_seqs, build_joint_items, train_models
+from coins.vocab import train_vocab
 
 MODES = (MODE_ORACLE, MODE_FULL, MODE_IR_WO_SE, MODE_IR_ONLY, MODE_NO_IR_WO_SE)
 
@@ -67,6 +66,7 @@ def main():
     )
     mcfg = LmConfig(vocab=len(vocab), layers=2, hidden=64, heads=2, max_positions=160, dropout_p=0.0)
     refs = {ex.id: " ".join(ex.targets) for ex in eval_ex}
+    baseline_train = build_baseline_seqs(train_ex, vocab)
 
     totals = {m: [] for m in (*MODES, "baseline")}
     rouge = {m: [] for m in totals}
@@ -76,12 +76,12 @@ def main():
         beta = init_lm(mcfg, np.random.default_rng(3 * seed + 12))
         items = build_joint_items(train_ex, vocab, Flavor.GENERAL, records,
                                   ablation_mix=0.5, rng=np.random.default_rng(1000 + seed))
-        train_joint(theta, beta, mcfg, mcfg, items,
-                    TrainConfig(batch_size=8, epochs=80, learning_rate=2e-3, seed=seed,
-                                max_steps=args.steps))
+        train_models([(theta, mcfg), (beta, mcfg)], [item.terms for item in items],
+                     TrainConfig(batch_size=8, epochs=80, learning_rate=2e-3, seed=seed,
+                                 max_steps=args.steps))
         base = init_lm(mcfg, np.random.default_rng(3 * seed + 13))
-        train_lm(base, mcfg, build_baseline_seqs(train_ex, vocab),
-                 TrainConfig(batch_size=8, epochs=80, learning_rate=2e-3, seed=seed, max_steps=300))
+        train_models([(base, mcfg)], [[(0, seq)] for seq in baseline_train],
+                     TrainConfig(batch_size=8, epochs=80, learning_rate=2e-3, seed=seed, max_steps=300))
 
         models = CoinsModels(sentence=Lm(theta, mcfg, "sentence"), csi=Lm(beta, mcfg, "csi_gen"))
         ccfg = default_controller_config(vocab, beam=5, max_sentence_tokens=14,
@@ -96,13 +96,10 @@ def main():
             totals[mode].append(bleu(pairs, max_n=1))
             rouge[mode].append(rouge_l(pairs))
         dcfg = DecodeConfig(beam_width=5, max_new_tokens=28, stop_token=vocab.eos)
-        fn = lm_logprob_fn(Lm(base, mcfg, "baseline"))
-        pairs = []
-        for ex in eval_ex:
-            ids = encode(baseline_prompt(initial_state(ex)), vocab)
-            res = beam_search(fn, ids, dcfg)
-            text = vdecode(res.ids[len(ids):], vocab).replace("[EOS]", " ").strip()
-            pairs.append(EvalPair(candidate=text, references=(refs[ex.id],)))
+        texts = complete_baseline(Lm(base, mcfg, "baseline"), vocab,
+                                  [initial_state(ex) for ex in eval_ex], dcfg)
+        pairs = [EvalPair(candidate=text, references=(refs[ex.id],))
+                 for ex, text in zip(eval_ex, texts)]
         totals["baseline"].append(bleu(pairs, max_n=1))
         rouge["baseline"].append(rouge_l(pairs))
         print(f"seed {seed}: {time.time() - t0:.0f}s")

@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .controller import (
     CoinsModels,
+    complete_baseline,
     default_controller_config,
     run_ablation,
     run_seg,
@@ -42,26 +43,26 @@ from .data.corpus import (
     write_seg,
     write_stories,
 )
-from .data.serialize import FIELD_SEP, MODE_ORACLE, MODE_SEG, baseline_prompt
+from .data.serialize import FIELD_SEP, MODE_ORACLE, MODE_SEG
 from .data.silver import enrich_with_silver
 from .data.types import Flavor, initial_state
 from .data import synthetic
-from .decode import DecodeConfig, beam_search, lm_logprob_fn
+from .decode import DecodeConfig
 from .errors import CoinsError, ConfigError, MissingInputError, SchemaError
 from .metrics import RatingMatrix, evaluate_corpus, fleiss_kappa
 from .model import Lm, LmConfig, init_lm, load_model, save_model
 from .train import (
     TrainConfig,
     build_baseline_seqs,
-    build_csi_seqs,
     build_joint_items,
+    build_rule_seqs,
     build_seg_items,
+    check_lengths,
     corpus_nll,
     decoded_rule_items,
-    train_joint,
-    train_lm,
+    train_models,
 )
-from .vocab import Vocab, decode as vdecode, encode as vencode, train_vocab
+from .vocab import Vocab, train_vocab
 
 log = logging.getLogger("coins")
 
@@ -141,10 +142,6 @@ def _flavor(value: str) -> Flavor:
 
 def _load_vocab(path: str) -> Vocab:
     return Vocab.load(_require_file(path))
-
-
-def _detok(ids, prefix_len, vocab) -> str:
-    return vdecode(ids[prefix_len:], vocab).replace("[EOS]", " ").strip()
 
 
 @click.group()
@@ -250,16 +247,13 @@ def train_vocab_cmd(inputs, out, max_size, min_freq, force):
 @click.option("--glucose", "glucose_path", required=True)
 @click.option("--vocab", "vocab_path", required=True)
 @click.option("--flavor", type=click.Choice(["gr", "sr"]), default="gr", show_default=True)
-@click.option("--csi-context", type=click.Choice(["incomplete", "full"]), default="incomplete",
-              show_default=True, help="Ground rule training in the gapped or the full story.")
 @click.option("--config", "config_path", default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--epochs", type=int, default=None)
 @click.option("--out", required=True)
 @click.option("--force", is_flag=True)
 @_wrap_errors
-def train_csi(nsc_path, glucose_path, vocab_path, flavor, csi_context, config_path, seed, epochs,
-              out, force):
+def train_csi(nsc_path, glucose_path, vocab_path, flavor, config_path, seed, epochs, out, force):
     """Train the inference-rule generator on gold annotations."""
     cfg_file = _load_config_file(config_path)
     vocab = _load_vocab(vocab_path)
@@ -269,16 +263,12 @@ def train_csi(nsc_path, glucose_path, vocab_path, flavor, csi_context, config_pa
     tcfg = _train_config(cfg_file, seed=seed, epochs=epochs)
     mcfg = _model_config(len(vocab), cfg_file)
     resolved = {"nsc": str(nsc_path), "glucose": str(glucose_path), "flavor": flavor,
-                "csi_context": csi_context, "train": tcfg.to_json(), "model": mcfg.to_json()}
+                "train": tcfg.to_json(), "model": mcfg.to_json()}
+    seqs = build_rule_seqs(examples, vocab, flav, records)
+    check_lengths(seqs, mcfg)
     out_dir = _prepare_out(out, "train-csi", resolved, force)
-
-    seqs = []
-    for ex in examples:
-        for it in range(1, len(ex.targets) + 1):
-            eff, cau = build_csi_seqs(ex, it, vocab, flav, records, csi_context=csi_context)
-            seqs.extend([eff, cau])
     params = init_lm(mcfg, np.random.default_rng(tcfg.seed))
-    hist = train_lm(params, mcfg, seqs, tcfg, role="csi")
+    hist = train_models([(params, mcfg)], [[(0, seq)] for seq in seqs], tcfg)
     save_model(out_dir, Lm(params=params, config=mcfg, role=FLAVOR_ROLE[flav]), name="csi")
     shutil.copy(vocab_path, out_dir / "vocab.json")
     (out_dir / "history.json").write_text(json.dumps(
@@ -324,8 +314,6 @@ def enrich(nsc_path, csi_dir, beam, max_rule_tokens, out, force):
 @click.option("--dynamic-rules", is_flag=True,
               help="Condition the sentence model on the rule model's own decodes, "
                    "refreshed each epoch (no gradient across the token boundary).")
-@click.option("--csi-context", type=click.Choice(["incomplete", "full"]), default="incomplete",
-              show_default=True)
 @click.option("--config", "config_path", default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--epochs", type=int, default=None)
@@ -333,7 +321,7 @@ def enrich(nsc_path, csi_dir, beam, max_rule_tokens, out, force):
 @click.option("--force", is_flag=True)
 @_wrap_errors
 def train_coins(nsc_path, seg_path, glucose_path, vocab_path, flavor, rules, ablation_mix,
-                dynamic_rules, csi_context, config_path, seed, epochs, out, force):
+                dynamic_rules, config_path, seed, epochs, out, force):
     """Jointly train the sentence generator and the rule generator."""
     cfg_file = _load_config_file(config_path)
     vocab = _load_vocab(vocab_path)
@@ -359,21 +347,24 @@ def train_coins(nsc_path, seg_path, glucose_path, vocab_path, flavor, rules, abl
         if not use_silver and records is None:
             raise ConfigError("gold training needs --glucose (or silver rules in the corpus)")
         items = build_joint_items(
-            examples, vocab, flav, records, use_silver=use_silver, csi_context=csi_context,
+            examples, vocab, flav, records, use_silver=use_silver,
             ablation_mix=ablation_mix, rng=np.random.default_rng(tcfg.seed + 1),
         )
+    check_lengths((seq for item in items for _, seq in item.terms), mcfg)
     resolved = {"nsc": nsc_path, "seg": seg_path, "glucose": glucose_path, "flavor": flavor,
                 "rules": "silver" if use_silver else "gold", "ablation_mix": ablation_mix,
-                "dynamic_rules": dynamic_rules, "csi_context": csi_context,
-                "train": tcfg.to_json(), "model": mcfg.to_json()}
+                "dynamic_rules": dynamic_rules, "train": tcfg.to_json(), "model": mcfg.to_json()}
     out_dir = _prepare_out(out, "train-coins", resolved, force)
     theta = init_lm(mcfg, np.random.default_rng(tcfg.seed))
     beta = init_lm(mcfg, np.random.default_rng(tcfg.seed + 7919))
     if dynamic_rules:
         if records is None:
             raise ConfigError("--dynamic-rules needs --glucose for the rule targets")
-        refresh = lambda epoch: decoded_rule_items(examples, vocab, flav, records, beta, mcfg)
-    hist = train_joint(theta, beta, mcfg, mcfg, items, tcfg, refresh_items=refresh)
+        refresh = lambda epoch: [
+            item.terms for item in decoded_rule_items(examples, vocab, flav, records, beta, mcfg)
+        ]
+    hist = train_models([(theta, mcfg), (beta, mcfg)], [item.terms for item in items], tcfg,
+                        refresh_items=refresh)
     save_model(out_dir, Lm(params=theta, config=mcfg, role="sentence"), name="sentence")
     save_model(out_dir, Lm(params=beta, config=mcfg, role=FLAVOR_ROLE[flav]), name="csi")
     shutil.copy(vocab_path, out_dir / "vocab.json")
@@ -401,11 +392,12 @@ def train_baseline(nsc_path, vocab_path, init_dir, config_path, seed, epochs, ou
     examples = read_nsc(_require_file(nsc_path))
     tcfg = _train_config(cfg_file, seed=seed, epochs=epochs)
     mcfg = _model_config(len(vocab), cfg_file)
+    seqs = build_baseline_seqs(examples, vocab)
+    check_lengths(seqs, mcfg)
     out_dir = _prepare_out(out, "train-baseline",
                            {"nsc": str(nsc_path), "init_from": init_dir,
                             "train": tcfg.to_json(), "model": mcfg.to_json()},
                            force)
-    seqs = build_baseline_seqs(examples, vocab)
     if init_dir is not None:
         _require_file(Path(init_dir) / "csi.ckpt")
         warm = load_model(init_dir, name="csi")
@@ -414,7 +406,7 @@ def train_baseline(nsc_path, vocab_path, init_dir, config_path, seed, epochs, ou
         params = warm.params
     else:
         params = init_lm(mcfg, np.random.default_rng(tcfg.seed))
-    hist = train_lm(params, mcfg, seqs, tcfg, role="baseline")
+    hist = train_models([(params, mcfg)], [[(0, seq)] for seq in seqs], tcfg)
     save_model(out_dir, Lm(params=params, config=mcfg, role="baseline"), name="baseline")
     shutil.copy(vocab_path, out_dir / "vocab.json")
     click.echo(f"trained baseline: {hist.steps} steps, final nll/token {hist.epoch_nll[-1]:.4f}")
@@ -428,18 +420,6 @@ def _load_models(models_dir: Path) -> tuple[CoinsModels, Vocab, str]:
     sentence = load_model(models_dir, "sentence")
     csi = load_model(models_dir, "csi") if (models_dir / "csi.ckpt").exists() else None
     return CoinsModels(sentence=sentence, csi=csi), vocab, "coins"
-
-
-def _complete_baseline(models: CoinsModels, vocab: Vocab, examples, beam, max_new) -> list[dict]:
-    cfg = DecodeConfig(beam_width=beam, max_new_tokens=max_new, stop_token=vocab.eos)
-    fn = lm_logprob_fn(models.sentence)
-    rows = []
-    for ex in examples:
-        ids = vencode(baseline_prompt(initial_state(ex)), vocab)
-        res = beam_search(fn, ids, cfg)
-        text = _detok(res.ids, len(ids), vocab)
-        rows.append({"id": ex.id, "mode": "baseline", "sentences": [text], "text": text})
-    return rows
 
 
 @main.command("complete")
@@ -490,7 +470,12 @@ def complete(nsc_path, seg_path, models_dir, mode, beam, max_sentence_tokens, ma
                 raise SchemaError(f"oracle mode needs silver rules on every example; missing for {missing[:5]}")
         out_dir = _prepare_out(out, "complete", resolved, force)
         if kind == "baseline":
-            rows = _complete_baseline(models, vocab, examples, beam, max_sentence_tokens * 2)
+            dcfg = DecodeConfig(beam_width=beam, max_new_tokens=max_sentence_tokens * 2,
+                                stop_token=vocab.eos)
+            states = [initial_state(ex) for ex in examples]
+            texts = complete_baseline(models.sentence, vocab, states, dcfg)
+            rows = [{"id": ex.id, "mode": "baseline", "sentences": [text], "text": text}
+                    for ex, text in zip(examples, texts)]
             traces = []
         else:
             rows, traces = [], []

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -26,16 +26,16 @@ from .data.serialize import (
     MODE_NO_IR_WO_SE,
     MODE_ORACLE,
     MODE_SEG,
-    csi_source,
+    baseline_prompt,
     join_rules,
     sentence_prompt,
     split_rules,
 )
 from .data.types import RelationType, SilverPair, StoryState
-from .decode import DecodeConfig, DecodeResult, beam_search, lm_logprob_fn
+from .decode import DecodeConfig, DecodeResult, beam_search, decode_rules, lm_logprob_fn
 from .errors import SchemaError
 from .model import Lm, forward_cached
-from .vocab import Vocab, decode as vocab_decode, encode as vocab_encode
+from .vocab import Vocab, detokenize, encode as vocab_encode
 
 log = logging.getLogger(__name__)
 
@@ -82,19 +82,7 @@ class IterationRecord:
     error: str | None = None
 
     def to_row(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "effect_rules": self.effect_rules,
-            "cause_rules": self.cause_rules,
-            "rules_text": self.rules_text,
-            "sentence": self.sentence,
-            "sentence_score": self.sentence_score,
-            "sentence_finished": self.sentence_finished,
-            "csi_inputs": self.csi_inputs,
-            "sentence_input": self.sentence_input,
-            "decode": self.decode,
-            "error": self.error,
-        }
+        return asdict(self)
 
     @classmethod
     def from_row(cls, row: dict) -> "IterationRecord":
@@ -132,7 +120,6 @@ class ControllerConfig:
     rule_decode: DecodeConfig
     sentence_decode: DecodeConfig
     max_rule_tokens: int = DEFAULT_MAX_RULE_TOKENS
-    csi_context: str = "incomplete"  # or "full" when rule models saw whole stories
     # "default": Effect for the current sentence + Cause for the ending;
     # "all": both relations for every context sentence (experimental)
     rule_scope: str = "default"
@@ -148,11 +135,6 @@ def default_controller_config(vocab: Vocab, beam: int = 5, max_sentence_tokens: 
     )
 
 
-def _detok(ids: list[int], prefix_len: int, vocab: Vocab) -> str:
-    text = vocab_decode(ids[prefix_len:], vocab)
-    return text.replace("[EOS]", " ").strip()
-
-
 def gen_inference_rules(
     csi: Lm,
     vocab: Vocab,
@@ -161,14 +143,9 @@ def gen_inference_rules(
     relation: RelationType,
     cfg: ControllerConfig,
 ) -> tuple[list[str], str]:
-    """Decode the rule model on (context, selected sentence, relation) and
-    split the output on the rule delimiter. Returns (rules, prompt)."""
-    prompt = csi_source(state, selected, relation)
-    ids = vocab_encode(prompt, vocab)
-    decode_cfg = cfg.rule_decode.fit(len(ids), csi.config.max_positions)
-    result = beam_search(lm_logprob_fn(csi), ids, decode_cfg)
-    text = _detok(result.ids, len(ids), vocab)
-    rules = split_rules(text)
+    """Decode the rule model on (context, selected sentence, relation) with
+    the controller's rule-decode settings. Returns (rules, prompt)."""
+    rules, prompt = decode_rules(csi, vocab, state, selected, relation, cfg.rule_decode)
     if not rules:
         log.warning("empty rule decode for relation %s on %r", relation.value, selected)
     return rules, prompt
@@ -224,7 +201,7 @@ def gen_next_sentence(
                                               sentence_model.config.max_positions)
     ids = vocab_encode(prompt, vocab)
     result = beam_search(lm_logprob_fn(sentence_model), ids, cfg.sentence_decode)
-    sentence = _detok(result.ids, len(ids), vocab)
+    sentence = detokenize(result.ids[len(ids) :], vocab)
     if not sentence:
         log.warning("empty sentence decode at state %r", state.prefix[-1])
     return sentence, result, prompt, kept_rules
@@ -359,9 +336,7 @@ def run_coins(
     example_id: str = "",
 ) -> tuple[list[str], RuleMemory, GenerationTrace]:
     """Full recursive run: n_sentences-3 iterations of rules + sentence."""
-    if n_sentences < 4:
-        raise ValueError(f"need n >= 4 sentences, got {n_sentences}")
-    return _run_loop(models, vocab, state, n_sentences - 3, cfg, MODE_FULL, example_id)
+    return run_ablation(MODE_FULL, models, vocab, state, n_sentences, cfg, example_id)
 
 
 def run_oracle(
@@ -374,10 +349,7 @@ def run_oracle(
     example_id: str = "",
 ) -> tuple[list[str], RuleMemory, GenerationTrace]:
     """Skip rule decoding; condition generation on the provided bundles."""
-    if n_sentences < 4:
-        raise ValueError(f"need n >= 4 sentences, got {n_sentences}")
-    return _run_loop(models, vocab, state, n_sentences - 3, cfg, MODE_ORACLE, example_id,
-                     silver_rules=silver_rules)
+    return run_ablation(MODE_ORACLE, models, vocab, state, n_sentences, cfg, example_id, silver_rules)
 
 
 def run_ablation(
@@ -390,20 +362,19 @@ def run_ablation(
     example_id: str = "",
     silver_rules: dict[int, SilverPair] | None = None,
 ) -> tuple[list[str], RuleMemory, GenerationTrace]:
-    """Inference-time input ablations; 'full' aliases run_coins.
+    """A completion run in any input mode: n_sentences-3 iterations.
 
     Rule decoding always sees the intact context (Cause rules are still
     grounded in the ending); only the sentence model's input drops parts.
+    Oracle mode reads ``silver_rules`` in place of rule decodes.
     """
     if mode not in ABLATION_MODES:
         raise ValueError(f"unknown ablation mode {mode!r}; expected one of {ABLATION_MODES}")
     if n_sentences < 4:
         raise ValueError(f"need n >= 4 sentences, got {n_sentences}")
-    if mode == MODE_ORACLE:
-        if silver_rules is None:
-            raise SchemaError("oracle mode requires provided rules")
-        return run_oracle(models, vocab, state, n_sentences, silver_rules, cfg, example_id)
-    return _run_loop(models, vocab, state, n_sentences - 3, cfg, mode, example_id)
+    if mode == MODE_ORACLE and silver_rules is None:
+        raise SchemaError("oracle mode requires provided rules")
+    return _run_loop(models, vocab, state, n_sentences - 3, cfg, mode, example_id, silver_rules)
 
 
 def run_seg(
@@ -421,3 +392,15 @@ def run_seg(
     state = StoryState(prefix=sentences, ending="")
     generated, memory, trace = _run_loop(models, vocab, state, 1, cfg, MODE_SEG, example_id)
     return (generated[0] if generated else ""), memory, trace
+
+
+def complete_baseline(lm: Lm, vocab: Vocab, states: Iterable[StoryState], cfg: DecodeConfig) -> list[str]:
+    """Rule-free completion: for each incomplete story, one decode of all
+    its missing sentences from the plain context. One log-prob source
+    serves every decode."""
+    fn = lm_logprob_fn(lm)
+    texts = []
+    for state in states:
+        ids = vocab_encode(baseline_prompt(state), vocab)
+        texts.append(detokenize(beam_search(fn, ids, cfg).ids[len(ids) :], vocab))
+    return texts

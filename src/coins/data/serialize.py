@@ -38,14 +38,9 @@ def split_rules(text: str) -> list[str]:
     return [part.strip() for part in text.split(RULE_SEP) if part.strip()]
 
 
-def csi_source(context: StoryState, selected: str, relation: RelationType, full_story: str | None = None) -> str:
-    """Decoding prompt for the rule generator, up to the target field.
-
-    ``full_story`` substitutes the complete story for the incomplete
-    context when rule models are trained with full-story grounding.
-    """
-    ctx = full_story if full_story is not None else context.render()
-    return f"{SOS} {ctx} {FIELD_SEP} {selected} {FIELD_SEP} {RELATION_TOKEN[relation]} {FIELD_SEP}"
+def csi_source(context: StoryState, selected: str, relation: RelationType) -> str:
+    """Decoding prompt for the rule generator, up to the target field."""
+    return f"{SOS} {context.render()} {FIELD_SEP} {selected} {FIELD_SEP} {RELATION_TOKEN[relation]} {FIELD_SEP}"
 
 
 def serialize_csi_example(
@@ -53,9 +48,8 @@ def serialize_csi_example(
     selected: str,
     relation: RelationType,
     rule_texts: list[str],
-    full_story: str | None = None,
 ) -> str:
-    source = csi_source(context, selected, relation, full_story=full_story)
+    source = csi_source(context, selected, relation)
     rules = join_rules(rule_texts)
     return f"{source} {rules} {EOS}" if rules else f"{source} {EOS}"
 

@@ -7,24 +7,28 @@ from __future__ import annotations
 import dataclasses
 import logging
 
-from ..decode import DecodeConfig, beam_search, lm_logprob_fn
+from ..decode import DecodeConfig, decode_rules
 from ..model import Lm
-from ..vocab import Vocab, decode as vocab_decode, encode as vocab_encode
-from .serialize import csi_source, split_rules
+from ..vocab import Vocab
 from .types import Flavor, NscExample, RelationType, SilverPair, StoryState, bundle_from_texts
 
 log = logging.getLogger(__name__)
 
 
-def _decode_rules(csi: Lm, vocab: Vocab, prompt: str, cfg: DecodeConfig) -> list[str]:
-    ids = vocab_encode(prompt, vocab)
+def _decode_rules(
+    csi: Lm,
+    vocab: Vocab,
+    state: StoryState,
+    selected: str,
+    relation: RelationType,
+    cfg: DecodeConfig,
+) -> list[str]:
+    """The decoded rules, or none when the decode fails."""
     try:
-        result = beam_search(lm_logprob_fn(csi), ids, cfg.fit(len(ids), csi.config.max_positions))
+        return decode_rules(csi, vocab, state, selected, relation, cfg)[0]
     except Exception:
-        log.exception("rule decode failed for prompt %r", prompt[:60])
+        log.exception("rule decode failed for %s of %r", relation.value, selected[:60])
         return []
-    text = vocab_decode(result.ids[len(ids) :], vocab).replace("[EOS]", " ").strip()
-    return split_rules(text)
 
 
 def enrich_with_silver(
@@ -49,12 +53,8 @@ def enrich_with_silver(
         silver: dict[int, SilverPair] = {}
         for it in range(1, len(ex.targets) + 1):
             state = StoryState(prefix=(*ex.beginning, *ex.targets[: it - 1]), ending=ex.ending)
-            effect = _decode_rules(
-                csi, vocab, csi_source(state, state.current_sentence, RelationType.EFFECT), cfg
-            )
-            cause = _decode_rules(
-                csi, vocab, csi_source(state, ex.ending, RelationType.CAUSE), cfg
-            )
+            effect = _decode_rules(csi, vocab, state, state.current_sentence, RelationType.EFFECT, cfg)
+            cause = _decode_rules(csi, vocab, state, ex.ending, RelationType.CAUSE, cfg)
             silver[it] = SilverPair(
                 effect=bundle_from_texts(effect, RelationType.EFFECT, flavor),
                 cause=bundle_from_texts(cause, RelationType.CAUSE, flavor),

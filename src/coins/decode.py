@@ -17,7 +17,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tensor as T
+from .data.serialize import csi_source, split_rules
+from .data.types import RelationType, StoryState
 from .model import Lm, forward_cached
+from .vocab import Vocab, detokenize, encode
 
 LogprobFn = Callable[[Sequence[tuple[int, ...]]], np.ndarray]
 
@@ -40,12 +43,7 @@ class DecodeConfig:
         return dataclasses.replace(self, max_new_tokens=budget)
 
     def to_json(self) -> dict:
-        return {
-            "beam_width": self.beam_width,
-            "max_new_tokens": self.max_new_tokens,
-            "stop_token": self.stop_token,
-            "length_normalization": self.length_normalization,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -119,13 +117,7 @@ def beam_search(logprob_fn: LogprobFn, prefix: Sequence[int], config: DecodeConf
 
 def greedy(logprob_fn: LogprobFn, prefix: Sequence[int], config: DecodeConfig) -> DecodeResult:
     """Width-1 beam: argmax token each step, ties to the lowest token id."""
-    cfg = DecodeConfig(
-        beam_width=1,
-        max_new_tokens=config.max_new_tokens,
-        stop_token=config.stop_token,
-        length_normalization=config.length_normalization,
-    )
-    return beam_search(logprob_fn, prefix, cfg)
+    return beam_search(logprob_fn, prefix, dataclasses.replace(config, beam_width=1))
 
 
 def lm_logprob_fn(lm: Lm) -> LogprobFn:
@@ -154,3 +146,20 @@ def lm_logprob_fn(lm: Lm) -> LogprobFn:
         return T.log_softmax_rows(logits[:, -1].astype(np.float64))
 
     return fn
+
+
+def decode_rules(
+    csi: Lm,
+    vocab: Vocab,
+    state: StoryState,
+    selected: str,
+    relation: RelationType,
+    cfg: DecodeConfig,
+) -> tuple[list[str], str]:
+    """Decode the rule model on (context, selected sentence, relation) and
+    split the output on the rule delimiter. The token budget is capped at
+    the positions the prompt leaves free. Returns (rules, prompt)."""
+    prompt = csi_source(state, selected, relation)
+    ids = encode(prompt, vocab)
+    result = beam_search(lm_logprob_fn(csi), ids, cfg.fit(len(ids), csi.config.max_positions))
+    return split_rules(detokenize(result.ids[len(ids) :], vocab)), prompt

@@ -1,4 +1,4 @@
-"""Decoder-only causal transformer and the training losses built on it.
+"""Decoder-only causal transformer and the training loss built on it.
 
 The two generators (rule model and sentence model) are two independent
 instances of the same architecture: token + position embeddings, pre-norm
@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -286,46 +287,7 @@ def masked_nll(
     return T.cross_entropy_masked(logits, targets, mask, reduction=reduction)
 
 
-def csi_loss(
-    beta: dict[str, Tensor],
-    config: LmConfig,
-    effect_seq: TrainSeq,
-    cause_seq: TrainSeq,
-    *,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """Rule-generation objective: the Effect-rule NLL on its own serialized
-    sequence plus the Cause-rule NLL on its own, each masked to rule tokens."""
-    le = masked_nll(beta, config, effect_seq, train=train, rng=rng)
-    lc = masked_nll(beta, config, cause_seq, train=train, rng=rng)
-    return T.add(le, lc)
-
-
-def sentence_loss(
-    theta: dict[str, Tensor],
-    config: LmConfig,
-    seq: TrainSeq,
-    *,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """Sentence-generation objective: NLL of the gold next sentence given
-    rules + context, masked to the sentence tokens."""
-    return masked_nll(theta, config, seq, train=train, rng=rng)
-
-
-def baseline_lm_loss(
-    params: dict[str, Tensor],
-    config: LmConfig,
-    seq: TrainSeq,
-    *,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """Single-model objective over the middle sentences; shares the masked
-    NLL core with sentence_loss (rule-free serialization)."""
-    return masked_nll(params, config, seq, train=train, rng=rng)
+Term = tuple[int, TrainSeq]  # (model index, sequence) of one loss term
 
 
 @dataclass
@@ -339,47 +301,38 @@ class JointItem:
     effect_seq: TrainSeq
     cause_seq: TrainSeq | None
 
+    @property
+    def terms(self) -> list[Term]:
+        """Loss terms in training order: the sentence model (index 0),
+        then the rule model (index 1) on the Effect and the Cause sequence."""
+        terms = [(0, self.sentence_seq), (1, self.effect_seq)]
+        if self.cause_seq is not None:
+            terms.append((1, self.cause_seq))
+        return terms
 
-def joint_step(
-    theta: dict[str, Tensor],
-    beta: dict[str, Tensor],
-    config_theta: LmConfig,
-    config_beta: LmConfig,
-    item: JointItem,
+
+def item_loss(
+    models: Sequence[tuple[dict[str, Tensor], LmConfig]],
+    terms: Sequence[Term],
     *,
-    train: bool = True,
+    train: bool = False,
     rng: np.random.Generator | None = None,
-) -> tuple[float, float, float]:
-    """Add the sentence and rule losses and backprop both models at once.
+) -> tuple[Tensor, list[tuple[Tensor, int]]]:
+    """The summed masked NLL of one item's terms, and each term's
+    (loss, target token count), computed in term order.
 
-    The two computation graphs are disjoint (the sentence model reads
-    teacher-forced gold rules, not decoded ones), so each model's grads
-    come purely from its own loss term. Returns (total, sentence, rule)
-    loss values; gradients accumulate on the parameter tensors.
+    A term reads only its own model's parameters, so models' graphs are
+    disjoint and backpropagating the sum gives each model the gradient of
+    its own terms alone.
     """
-    ls = sentence_loss(theta, config_theta, item.sentence_seq, train=train, rng=rng)
-    if item.cause_seq is not None:
-        li = csi_loss(beta, config_beta, item.effect_seq, item.cause_seq, train=train, rng=rng)
-    else:
-        li = masked_nll(beta, config_beta, item.effect_seq, train=train, rng=rng)
-    total = T.add(ls, li)
-    T.backward(total)
-    return total.item(), ls.item(), li.item()
-
-
-def perplexity(params: dict[str, Tensor], config: LmConfig, seqs: list[TrainSeq]) -> float:
-    """exp(mean per-target-token NLL) over a corpus of serialized sequences."""
-    if not seqs:
-        raise ValueError("perplexity needs a non-empty corpus")
-    total, count = 0.0, 0
-    with T.no_grad():
-        for seq in seqs:
-            nll = masked_nll(params, config, seq, reduction="sum")
-            total += nll.item()
-            count += seq.n_target_tokens
-    if count == 0:
-        raise ValueError("perplexity: no target tokens in corpus")
-    return float(np.exp(total / count))
+    parts = [
+        (masked_nll(*models[m], seq, train=train, rng=rng), seq.n_target_tokens)
+        for m, seq in terms
+    ]
+    total = parts[0][0]
+    for loss, _ in parts[1:]:
+        total = T.add(total, loss)
+    return total, parts
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Teacher-forced sequence building and the training loops.
+"""Teacher-forced sequence building, the training loop and the corpus NLL.
 
 Training always conditions on gold context: at iteration i the context
 holds the gold sentences up to s_i, and the rule targets come from gold
@@ -9,7 +9,9 @@ context at inference time.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -36,7 +38,7 @@ from .data.types import (
     initial_state,
 )
 from .errors import ConfigError, SchemaError
-from .model import JointItem, LmConfig, TrainSeq, make_train_seq, masked_nll
+from .model import JointItem, LmConfig, Term, TrainSeq, item_loss, make_train_seq, masked_nll
 from .optim import AdamState, adam_update, zero_grads
 from .tensor import Tensor
 from .vocab import Vocab, encode
@@ -59,15 +61,7 @@ class TrainConfig:
             raise ConfigError("batch_size, epochs and learning_rate must be positive")
 
     def to_json(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "seed": self.seed,
-            "grad_clip": self.grad_clip,
-            "max_steps": self.max_steps,
-            "target_nll": self.target_nll,
-        }
+        return asdict(self)
 
 
 def _encode_pair(prompt: str, full: str, vocab: Vocab) -> TrainSeq:
@@ -86,18 +80,13 @@ def teacher_state(example: NscExample, iteration: int) -> StoryState:
     )
 
 
-def gold_rule_texts(
-    records: list[GlucoseRecord],
-    example: NscExample,
-    iteration: int,
-    relation: RelationType,
-    flavor: Flavor,
-) -> list[str]:
-    """Rules for one iteration from gold annotations: Effect rules attach to
-    the current sentence, Cause rules to the ending sentence."""
-    story_records = [r for r in records if r.story_id == example.id]
-    index = (iteration + 1) if relation is RelationType.EFFECT else example.n_sentences
-    return aggregate_rules(story_records, index, relation, flavor).texts
+def _by_story(records: list[GlucoseRecord]) -> dict[str, list[GlucoseRecord]]:
+    """Gold records grouped by story id, each group in input order, so that
+    building a corpus's items scans the records once, not once per item."""
+    grouped: dict[str, list[GlucoseRecord]] = defaultdict(list)
+    for r in records:
+        grouped[r.story_id].append(r)
+    return grouped
 
 
 def iteration_rules(
@@ -108,6 +97,10 @@ def iteration_rules(
     records: list[GlucoseRecord] | None,
     use_silver: bool,
 ) -> list[str]:
+    """Rules for one iteration, from the example's silver rules or from gold
+    annotations: Effect rules attach to the current sentence, Cause rules to
+    the ending sentence. ``records`` may hold other stories' records too;
+    only the example's own are read."""
     if use_silver:
         if not example.silver_rules or iteration not in example.silver_rules:
             raise SchemaError(f"example {example.id!r}: no silver rules for iteration {iteration}")
@@ -115,7 +108,9 @@ def iteration_rules(
         return (pair.effect if relation is RelationType.EFFECT else pair.cause).texts
     if records is None:
         raise ConfigError("gold rule records required when not training on silver rules")
-    return gold_rule_texts(records, example, iteration, relation, flavor)
+    story_records = [r for r in records if r.story_id == example.id]
+    index = (iteration + 1) if relation is RelationType.EFFECT else example.n_sentences
+    return aggregate_rules(story_records, index, relation, flavor).texts
 
 
 def build_csi_seqs(
@@ -125,19 +120,17 @@ def build_csi_seqs(
     flavor: Flavor,
     records: list[GlucoseRecord] | None,
     use_silver: bool = False,
-    csi_context: str = "incomplete",
 ) -> tuple[TrainSeq, TrainSeq]:
     """(effect_seq, cause_seq) for one iteration of one example."""
     state = teacher_state(example, iteration)
-    full = " ".join(example.all_sentences) if csi_context == "full" else None
     out = []
     for relation, selected in (
         (RelationType.EFFECT, state.current_sentence),
         (RelationType.CAUSE, example.ending),
     ):
         rules = iteration_rules(example, iteration, relation, flavor, records, use_silver)
-        prompt = csi_source(state, selected, relation, full_story=full)
-        line = serialize_csi_example(state, selected, relation, rules, full_story=full)
+        prompt = csi_source(state, selected, relation)
+        line = serialize_csi_example(state, selected, relation, rules)
         out.append(_encode_pair(prompt, line, vocab))
     return out[0], out[1]
 
@@ -166,7 +159,6 @@ def build_joint_items(
     flavor: Flavor,
     records: list[GlucoseRecord] | None,
     use_silver: bool = False,
-    csi_context: str = "incomplete",
     ablation_mix: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> list[JointItem]:
@@ -182,16 +174,34 @@ def build_joint_items(
     items: list[JointItem] = []
     extras: list[JointItem] = []
     variants = (MODE_IR_ONLY, MODE_IR_WO_SE, MODE_NO_IR_WO_SE)
+    by_story = _by_story(records or [])
     for ex in examples:
+        recs = None if records is None else by_story[ex.id]
         for it in range(1, len(ex.targets) + 1):
-            eff, cau = build_csi_seqs(ex, it, vocab, flavor, records, use_silver, csi_context)
-            sent = build_sentence_seq(ex, it, vocab, flavor, records, use_silver)
+            eff, cau = build_csi_seqs(ex, it, vocab, flavor, recs, use_silver)
+            sent = build_sentence_seq(ex, it, vocab, flavor, recs, use_silver)
             items.append(JointItem(sentence_seq=sent, effect_seq=eff, cause_seq=cau))
             if ablation_mix and rng.random() < ablation_mix:
                 mode = variants[int(rng.integers(len(variants)))]
-                alt = build_sentence_seq(ex, it, vocab, flavor, records, use_silver, mode=mode)
+                alt = build_sentence_seq(ex, it, vocab, flavor, recs, use_silver, mode=mode)
                 extras.append(JointItem(sentence_seq=alt, effect_seq=eff, cause_seq=cau))
     return items + extras
+
+
+def build_rule_seqs(
+    examples: list[NscExample],
+    vocab: Vocab,
+    flavor: Flavor,
+    records: list[GlucoseRecord],
+) -> list[TrainSeq]:
+    """The Effect then the Cause sequence of every iteration, from gold
+    rules: the training set of a rule model trained on its own."""
+    by_story = _by_story(records)
+    seqs: list[TrainSeq] = []
+    for ex in examples:
+        for it in range(1, len(ex.targets) + 1):
+            seqs.extend(build_csi_seqs(ex, it, vocab, flavor, by_story[ex.id]))
+    return seqs
 
 
 def build_baseline_seqs(examples: list[NscExample], vocab: Vocab) -> list[TrainSeq]:
@@ -222,10 +232,11 @@ def decoded_rule_items(
     csi = Lm(params=beta, config=config_beta, role=role)
     cfg = DecodeConfig(beam_width=1, max_new_tokens=max_rule_tokens, stop_token=vocab.eos)
     enriched = enrich_with_silver(csi, examples, vocab, flavor, decode_cfg=cfg)
+    by_story = _by_story(records)
     items = []
     for ex, silver_ex in zip(examples, enriched):
         for it in range(1, len(ex.targets) + 1):
-            eff, cau = build_csi_seqs(ex, it, vocab, flavor, records)
+            eff, cau = build_csi_seqs(ex, it, vocab, flavor, by_story[ex.id])
             sent = build_sentence_seq(silver_ex, it, vocab, flavor, None, use_silver=True)
             items.append(JointItem(sentence_seq=sent, effect_seq=eff, cause_seq=cau))
     return items
@@ -239,11 +250,11 @@ def build_seg_items(
 ) -> list[JointItem]:
     """SEG trains on one iteration per story: Effect rules for the last
     context sentence; the Cause sequence degenerates to an empty target."""
+    by_story = _by_story(records)
     items = []
     for ex in examples:
         state = StoryState(prefix=ex.context, ending="")
-        story_records = [r for r in records if r.story_id == ex.id]
-        rules = aggregate_rules(story_records, 4, RelationType.EFFECT, flavor).texts
+        rules = aggregate_rules(by_story[ex.id], 4, RelationType.EFFECT, flavor).texts
         eff_prompt = csi_source(state, state.current_sentence, RelationType.EFFECT)
         eff_line = serialize_csi_example(state, state.current_sentence, RelationType.EFFECT, rules)
         prompt, line = sentence_example(join_rules(rules), state, ex.target)
@@ -265,112 +276,54 @@ class TrainHistory:
     stopped_early: bool = False
 
 
-def _epoch_order(n: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.permutation(n)
+def check_lengths(seqs: Iterable[TrainSeq], config: LmConfig) -> None:
+    """Refuse sequences whose model input (every id but the last) is longer
+    than the model's position table, before any training starts."""
+    longest = max((len(seq.ids) - 1 for seq in seqs), default=0)
+    if longest > config.max_positions:
+        raise ConfigError(f"training sequence length {longest} exceeds max_positions {config.max_positions}")
 
 
-def train_lm(
-    params: dict[str, Tensor],
-    config: LmConfig,
-    seqs: list[TrainSeq],
+def train_models(
+    models: Sequence[tuple[dict[str, Tensor], LmConfig]],
+    items: list[list[Term]],
     tcfg: TrainConfig,
-    role: str = "model",
+    refresh_items: Callable[[int], list[list[Term]]] | None = None,
 ) -> TrainHistory:
-    """Single-model loop (rule model alone, or the rule-free baseline)."""
-    if not seqs:
-        raise ConfigError("no training sequences")
-    rng = np.random.default_rng(tcfg.seed)
-    opt = AdamState(lr=tcfg.learning_rate)
-    hist = TrainHistory()
-    for epoch in range(tcfg.epochs):
-        order = _epoch_order(len(seqs), rng)
-        total_loss, total_nll, total_tok = 0.0, 0.0, 0
-        batch = 0
-        zero_grads(params)
-        for j, idx in enumerate(order):
-            seq = seqs[int(idx)]
-            loss = masked_nll(params, config, seq, train=True, rng=rng)
-            T.backward(T.scale(loss, 1.0 / tcfg.batch_size))
-            total_loss += loss.item()
-            total_nll += loss.item() * seq.n_target_tokens
-            total_tok += seq.n_target_tokens
-            batch += 1
-            if batch == tcfg.batch_size or j == len(order) - 1:
-                adam_update(params, opt, grad_clip=tcfg.grad_clip)
-                zero_grads(params)
-                batch = 0
-                hist.steps += 1
-                if tcfg.max_steps is not None and hist.steps >= tcfg.max_steps:
-                    break
-        hist.epoch_loss.append(total_loss / len(order))
-        hist.epoch_nll.append(total_nll / max(1, total_tok))
-        log.info("%s epoch %d: loss %.4f nll/tok %.4f", role, epoch + 1, hist.epoch_loss[-1], hist.epoch_nll[-1])
-        if tcfg.target_nll is not None and hist.epoch_nll[-1] < tcfg.target_nll:
-            hist.stopped_early = True
-            break
-        if tcfg.max_steps is not None and hist.steps >= tcfg.max_steps:
-            break
-    return hist
+    """The training loop: N models, one Adam optimizer each.
 
-
-def train_joint(
-    theta: dict[str, Tensor],
-    beta: dict[str, Tensor],
-    config_theta: LmConfig,
-    config_beta: LmConfig,
-    items: list[JointItem],
-    tcfg: TrainConfig,
-    refresh_items=None,
-) -> TrainHistory:
-    """Joint loop: one optimizer per model, losses added, graphs disjoint.
-
-    A "joint step" is one simultaneous Adam update of both models over a
-    batch of iterations. ``refresh_items(epoch)``, when given, rebuilds
-    the item list at the start of every epoch (used to condition the
-    sentence model on the rule model's current decodes).
+    Each item lists its (model index, sequence) loss terms, added by
+    :func:`item_loss`. A step is one Adam update of every model, in list
+    order, over a batch of items. ``refresh_items(epoch)``, when given,
+    rebuilds the item list at the start of every epoch (used to condition
+    the sentence model on the rule model's current decodes).
     """
     if not items and refresh_items is None:
         raise ConfigError("no training items")
     rng = np.random.default_rng(tcfg.seed)
-    opt_t = AdamState(lr=tcfg.learning_rate)
-    opt_b = AdamState(lr=tcfg.learning_rate)
+    opts = [AdamState(lr=tcfg.learning_rate) for _ in models]
     hist = TrainHistory()
     for epoch in range(tcfg.epochs):
         if refresh_items is not None:
             items = refresh_items(epoch)
             if not items:
                 raise ConfigError("refresh_items produced no training items")
-        order = _epoch_order(len(items), rng)
+        order = rng.permutation(len(items))
         total_loss, total_nll, total_tok = 0.0, 0.0, 0
         batch = 0
-        zero_grads(theta)
-        zero_grads(beta)
+        for params, _ in models:
+            zero_grads(params)
         for j, idx in enumerate(order):
-            item = items[int(idx)]
-            parts = [
-                (masked_nll(theta, config_theta, item.sentence_seq, train=True, rng=rng),
-                 item.sentence_seq.n_target_tokens),
-                (masked_nll(beta, config_beta, item.effect_seq, train=True, rng=rng),
-                 item.effect_seq.n_target_tokens),
-            ]
-            if item.cause_seq is not None:
-                parts.append(
-                    (masked_nll(beta, config_beta, item.cause_seq, train=True, rng=rng),
-                     item.cause_seq.n_target_tokens)
-                )
-            total = parts[0][0]
-            for p, _ in parts[1:]:
-                total = T.add(total, p)
+            total, parts = item_loss(models, items[int(idx)], train=True, rng=rng)
             T.backward(T.scale(total, 1.0 / tcfg.batch_size))
             total_loss += total.item()
             total_nll += sum(p.item() * n for p, n in parts)
             total_tok += sum(n for _, n in parts)
             batch += 1
             if batch == tcfg.batch_size or j == len(order) - 1:
-                adam_update(theta, opt_t, grad_clip=tcfg.grad_clip)
-                adam_update(beta, opt_b, grad_clip=tcfg.grad_clip)
-                zero_grads(theta)
-                zero_grads(beta)
+                for (params, _), opt in zip(models, opts):
+                    adam_update(params, opt, grad_clip=tcfg.grad_clip)
+                    zero_grads(params)
                 batch = 0
                 hist.steps += 1
                 if tcfg.max_steps is not None and hist.steps >= tcfg.max_steps:
@@ -378,7 +331,7 @@ def train_joint(
         hist.epoch_loss.append(total_loss / len(order))
         hist.epoch_nll.append(total_nll / max(1, total_tok))
         log.info(
-            "joint epoch %d: loss %.4f nll/tok %.4f (%d steps)",
+            "epoch %d: loss %.4f nll/tok %.4f (%d steps)",
             epoch + 1,
             hist.epoch_loss[-1],
             hist.epoch_nll[-1],
@@ -393,10 +346,15 @@ def train_joint(
 
 
 def corpus_nll(params: dict[str, Tensor], config: LmConfig, seqs: list[TrainSeq]) -> float:
-    """Mean per-target-token NLL with dropout off (evaluation mode)."""
+    """Mean per-target-token NLL with dropout off (evaluation mode); its
+    exp is the corpus perplexity."""
+    if not seqs:
+        raise ValueError("corpus_nll needs a non-empty corpus")
     total, count = 0.0, 0
     with T.no_grad():
         for seq in seqs:
             total += masked_nll(params, config, seq, reduction="sum").item()
             count += seq.n_target_tokens
-    return total / max(1, count)
+    if count == 0:
+        raise ValueError("corpus_nll: no target tokens in corpus")
+    return total / count

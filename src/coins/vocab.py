@@ -170,3 +170,8 @@ def encode(text: str, vocab: Vocab) -> list[int]:
 
 def decode(ids: Iterable[int], vocab: Vocab) -> str:
     return " ".join(vocab.id_to_token[int(i)] for i in ids)
+
+
+def detokenize(ids: Iterable[int], vocab: Vocab) -> str:
+    """Generated text: the decoded ids with [EOS] blanked out and the ends trimmed."""
+    return decode(ids, vocab).replace(SPECIALS["EOS"], " ").strip()

@@ -11,7 +11,7 @@ from coins.data import synthetic
 from coins.data.corpus import build_nsc_corpus, build_seg_corpus
 from coins.data.types import Flavor
 from coins.model import LmConfig, init_lm
-from coins.train import TrainConfig, build_joint_items, build_seg_items, train_joint
+from coins.train import TrainConfig, build_joint_items, build_seg_items, train_models
 from coins.vocab import train_vocab
 
 
@@ -32,8 +32,8 @@ def overfit_world():
     theta = init_lm(cfg, np.random.default_rng(1))
     beta = init_lm(cfg, np.random.default_rng(2))
     items = build_joint_items(examples, vocab, Flavor.GENERAL, records)
-    hist = train_joint(
-        theta, beta, cfg, cfg, items,
+    hist = train_models(
+        [(theta, cfg), (beta, cfg)], [item.terms for item in items],
         TrainConfig(batch_size=8, epochs=300, learning_rate=2e-3, seed=0, target_nll=0.005),
     )
     return dict(stories=stories, records=records, examples=examples, vocab=vocab, cfg=cfg,
@@ -50,8 +50,8 @@ def seg_world():
     theta = init_lm(cfg, np.random.default_rng(3))
     beta = init_lm(cfg, np.random.default_rng(4))
     items = build_seg_items(segs, vocab, Flavor.GENERAL, records)
-    train_joint(
-        theta, beta, cfg, cfg, items,
+    train_models(
+        [(theta, cfg), (beta, cfg)], [item.terms for item in items],
         TrainConfig(batch_size=6, epochs=300, learning_rate=2e-3, seed=0, target_nll=0.005),
     )
     return dict(stories=stories, records=records, segs=segs, vocab=vocab, cfg=cfg,

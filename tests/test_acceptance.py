@@ -16,7 +16,13 @@ from click.testing import CliRunner
 
 from coins import tensor as T
 from coins.cli import main as cli_main
-from coins.controller import CoinsModels, default_controller_config, run_ablation, run_coins
+from coins.controller import (
+    CoinsModels,
+    complete_baseline,
+    default_controller_config,
+    run_ablation,
+    run_coins,
+)
 from coins.data import synthetic
 from coins.data.corpus import (
     build_nsc_corpus,
@@ -34,12 +40,11 @@ from coins.data.serialize import (
     MODE_IR_WO_SE,
     MODE_NO_IR_WO_SE,
     MODE_ORACLE,
-    baseline_prompt,
 )
 from coins.data.types import Flavor, RelationType, SilverPair, StoryState, initial_state
-from coins.decode import DecodeConfig, beam_search, greedy, lm_logprob_fn
+from coins.decode import DecodeConfig, beam_search, greedy
 from coins.metrics import EvalPair, RatingMatrix, bleu, distinct_n, fleiss_kappa, rouge_l
-from coins.model import Lm, LmConfig, TrainSeq, forward, init_lm, masked_nll, perplexity
+from coins.model import Lm, LmConfig, TrainSeq, forward, init_lm, masked_nll
 from coins.tensor import Tensor
 from coins.train import (
     TrainConfig,
@@ -47,10 +52,9 @@ from coins.train import (
     build_joint_items,
     build_sentence_seq,
     corpus_nll,
-    train_joint,
-    train_lm,
+    train_models,
 )
-from coins.vocab import encode, train_vocab
+from coins.vocab import train_vocab
 
 from gradcheck import check_tensor_grad
 from test_decode import TabularModel, enumerate_argmax
@@ -163,8 +167,8 @@ def memorization_world():
     theta = init_lm(cfg, np.random.default_rng(1))
     beta = init_lm(cfg, np.random.default_rng(2))
     items = build_joint_items(examples, vocab, Flavor.GENERAL, records)
-    hist = train_joint(
-        theta, beta, cfg, cfg, items,
+    hist = train_models(
+        [(theta, cfg), (beta, cfg)], [item.terms for item in items],
         TrainConfig(batch_size=8, epochs=400, learning_rate=2e-3, seed=0,
                     target_nll=0.004, max_steps=2000),
     )
@@ -225,6 +229,7 @@ def direction_runs():
 
     oracle_eval = [build_sentence_seq(ex, it, vocab, Flavor.GENERAL, records)
                    for ex in eval_ex for it in (1, 2)]
+    baseline_train = build_baseline_seqs(train_ex, vocab)
     baseline_eval = build_baseline_seqs(eval_ex, vocab)
     refs = {ex.id: " ".join(ex.targets) for ex in eval_ex}
 
@@ -234,13 +239,13 @@ def direction_runs():
         beta = init_lm(mcfg, np.random.default_rng(3 * seed + 12))
         items = build_joint_items(train_ex, vocab, Flavor.GENERAL, records,
                                   ablation_mix=0.5, rng=np.random.default_rng(1000 + seed))
-        train_joint(theta, beta, mcfg, mcfg, items,
-                    TrainConfig(batch_size=8, epochs=60, learning_rate=2e-3, seed=seed,
-                                max_steps=700))
+        train_models([(theta, mcfg), (beta, mcfg)], [item.terms for item in items],
+                     TrainConfig(batch_size=8, epochs=60, learning_rate=2e-3, seed=seed,
+                                 max_steps=700))
         base = init_lm(mcfg, np.random.default_rng(3 * seed + 13))
-        train_lm(base, mcfg, build_baseline_seqs(train_ex, vocab),
-                 TrainConfig(batch_size=8, epochs=60, learning_rate=2e-3, seed=seed,
-                             max_steps=300))
+        train_models([(base, mcfg)], [[(0, seq)] for seq in baseline_train],
+                     TrainConfig(batch_size=8, epochs=60, learning_rate=2e-3, seed=seed,
+                                 max_steps=300))
 
         run = {
             "nll_oracle": corpus_nll(theta, mcfg, oracle_eval),
@@ -261,15 +266,10 @@ def direction_runs():
             run[f"bleu_{mode}"] = bleu(pairs, max_n=1)
 
         dcfg = DecodeConfig(beam_width=5, max_new_tokens=28, stop_token=vocab.eos)
-        fn = lm_logprob_fn(Lm(base, mcfg, "baseline"))
-        pairs = []
-        for ex in eval_ex:
-            ids = encode(baseline_prompt(initial_state(ex)), vocab)
-            res = beam_search(fn, ids, dcfg)
-            from coins.vocab import decode as vdecode
-
-            text = vdecode(res.ids[len(ids):], vocab).replace("[EOS]", " ").strip()
-            pairs.append(EvalPair(candidate=text, references=(refs[ex.id],)))
+        texts = complete_baseline(Lm(base, mcfg, "baseline"), vocab,
+                                  [initial_state(ex) for ex in eval_ex], dcfg)
+        pairs = [EvalPair(candidate=text, references=(refs[ex.id],))
+                 for ex, text in zip(eval_ex, texts)]
         run["bleu_baseline"] = bleu(pairs, max_n=1)
         per_seed.append(run)
 
@@ -340,7 +340,7 @@ def test_criterion_7_metric_oracles():
     for p in params.values():
         p.data = np.zeros_like(p.data)
     seqs = [TrainSeq(ids=np.arange(8) % 8, start=2, end=8)]
-    checks.append(perplexity(params, cfg, seqs) == pytest.approx(8.0, abs=1e-6))
+    checks.append(np.exp(corpus_nll(params, cfg, seqs)) == pytest.approx(8.0, abs=1e-6))
     ok = all(checks)
     report(7, ok, "BLEU/ROUGE-L/Distinct/kappa/PPL hand values all match")
     assert ok, checks

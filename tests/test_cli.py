@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -238,3 +239,25 @@ def test_inspect_trace_filters(pipeline):
     assert "iteration 2" in r.output and "iteration 1" not in r.output
     r = invoke(runner, "inspect-trace", "--run", root / "run_full", "--example", "does-not-exist")
     assert r.exit_code == 4
+
+
+@pytest.mark.parametrize("command", ["train-coins", "train-csi", "train-baseline"])
+def test_overlong_sequences_are_config_errors(tmp_path, command):
+    runner = CliRunner()
+    corpus, nsc, vocab = tmp_path / "corpus", tmp_path / "nsc", tmp_path / "vocab"
+    for args in (
+        ["synth-corpus", "--out", corpus, "--stories", 4],
+        ["build-nsc", "--stories", corpus / "stories.jsonl", "--out", nsc],
+        ["train-vocab", "--inputs", corpus / "stories.jsonl", "--inputs", corpus / "glucose.jsonl",
+         "--out", vocab],
+    ):
+        assert invoke(runner, *args).exit_code == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"max_positions": 16}}))
+    inputs = ["--nsc", nsc / "nsc.jsonl", "--vocab", vocab / "vocab.json"]
+    if command != "train-baseline":
+        inputs += ["--glucose", corpus / "glucose.jsonl"]
+    r = invoke(runner, command, *inputs, "--config", cfg, "--out", tmp_path / "out")
+    assert r.exit_code == 5, r.output
+    assert re.search(r"length \d+ exceeds max_positions 16", r.output), r.output
+    assert not (tmp_path / "out" / "run_config.json").exists()

@@ -25,7 +25,7 @@ from coins.data.types import (
 from coins.decode import beam_search, lm_logprob_fn
 from coins.errors import SchemaError
 from coins.model import Lm, LmConfig, init_lm
-from coins.vocab import encode, decode as vdecode, train_vocab
+from coins.vocab import detokenize, encode, train_vocab
 
 
 def random_models(vocab, seed=0):
@@ -125,7 +125,7 @@ def test_trace_determinism_audit(untrained):
     for rec in trace.records:
         ids = encode(rec.sentence_input, vocab)
         redo = beam_search(lm_logprob_fn(models.sentence), ids, cfg.sentence_decode)
-        text = vdecode(redo.ids[len(ids) :], vocab).replace("[EOS]", " ").strip()
+        text = detokenize(redo.ids[len(ids) :], vocab)
         assert text == rec.sentence
 
 # rule concatenation

@@ -13,22 +13,18 @@ from coins.model import (
     Lm,
     LmConfig,
     TrainSeq,
-    baseline_lm_loss,
-    csi_loss,
     forward,
     forward_cached,
     init_lm,
-    joint_step,
+    item_loss,
     load_model,
     make_train_seq,
     masked_nll,
-    perplexity,
     save_model,
-    sentence_loss,
 )
 from coins.optim import AdamState, GradientError, adam_update, zero_grads
 from coins.tensor import Tensor
-from coins.train import TrainConfig, build_baseline_seqs, build_sentence_seq, train_lm
+from coins.train import TrainConfig, build_baseline_seqs, build_sentence_seq, corpus_nll, train_models
 from coins.vocab import encode, train_vocab
 
 from gradcheck import check_tensor_grad
@@ -204,7 +200,7 @@ def test_csi_loss_is_sum_of_masked_nlls():
     rng = np.random.default_rng(2)
     eff = TrainSeq(ids=rng.integers(0, 30, size=12), start=6, end=12)
     cau = TrainSeq(ids=rng.integers(0, 30, size=10), start=7, end=10)
-    total = csi_loss(params, cfg, eff, cau).item()
+    total = item_loss([(params, cfg)], [(0, eff), (0, cau)])[0].item()
     parts = masked_nll(params, cfg, eff).item() + masked_nll(params, cfg, cau).item()
     assert total == pytest.approx(parts, abs=1e-7)
 
@@ -213,8 +209,7 @@ def test_losses_finite_for_random_weights():
     params, cfg = toy_model(vocab_size=30, seed=11)
     rng = np.random.default_rng(4)
     seq = TrainSeq(ids=rng.integers(0, 30, size=14), start=6, end=14)
-    assert np.isfinite(sentence_loss(params, cfg, seq).item())
-    assert np.isfinite(baseline_lm_loss(params, cfg, seq).item())
+    assert np.isfinite(masked_nll(params, cfg, seq).item())
 
 
 def test_joint_step_additivity_and_disjoint_grads():
@@ -227,21 +222,23 @@ def test_joint_step_additivity_and_disjoint_grads():
         effect_seq=TrainSeq(ids=rng.integers(0, 30, size=11), start=5, end=11),
         cause_seq=TrainSeq(ids=rng.integers(0, 30, size=9), start=4, end=9),
     )
-    total, ls, li = joint_step(theta, beta, cfg, cfg, item, train=False)
-    assert total == pytest.approx(ls + li, abs=1e-6)
+    models = [(theta, cfg), (beta, cfg)]
+    total, parts = item_loss(models, item.terms)
+    T.backward(total)
+    assert total.item() == pytest.approx(sum(loss.item() for loss, _ in parts), abs=1e-6)
     theta_grads = {k: v.grad.copy() for k, v in theta.items()}
     beta_grads = {k: v.grad.copy() for k, v in beta.items()}
 
     # recompute each side alone: grads must match the joint ones exactly
     zero_grads(theta)
     zero_grads(beta)
-    T.backward(sentence_loss(theta, cfg, item.sentence_seq))
+    T.backward(masked_nll(theta, cfg, item.sentence_seq))
     for k in theta:
         assert np.allclose(theta[k].grad, theta_grads[k], atol=1e-12)
     assert all(beta[k].grad is None for k in beta)  # zero cross-grads
 
     zero_grads(theta)
-    T.backward(csi_loss(beta, cfg, item.effect_seq, item.cause_seq))
+    T.backward(item_loss(models, item.terms[1:])[0])
     for k in beta:
         assert np.allclose(beta[k].grad, beta_grads[k], atol=1e-12)
     assert all(theta[k].grad is None for k in theta)
@@ -289,7 +286,8 @@ def test_training_is_bit_reproducible(tmp_path):
     for run in ("a", "b"):
         cfg = LmConfig(vocab=len(vocab), layers=1, hidden=32, heads=2, max_positions=64, dropout_p=0.1)
         params = init_lm(cfg, np.random.default_rng(tcfg.seed))
-        train_lm(params, cfg, build_baseline_seqs(examples, vocab), tcfg)
+        seqs = build_baseline_seqs(examples, vocab)
+        train_models([(params, cfg)], [[(0, seq)] for seq in seqs], tcfg)
         p = tmp_path / f"{run}.ckpt"
         save_arrays(p, {k: v.data for k, v in params.items()})
         paths.append(p)
@@ -305,7 +303,7 @@ def test_perplexity_uniform_model_equals_vocab_size():
         p.data = np.zeros_like(p.data)  # exactly uniform logits
     rng = np.random.default_rng(1)
     seqs = [TrainSeq(ids=rng.integers(0, 8, size=9), start=3, end=9) for _ in range(5)]
-    assert perplexity(params, cfg, seqs) == pytest.approx(8.0, abs=1e-6)
+    assert np.exp(corpus_nll(params, cfg, seqs)) == pytest.approx(8.0, abs=1e-6)
 
 
 def test_perplexity_is_exp_of_cross_entropy():
@@ -314,13 +312,17 @@ def test_perplexity_is_exp_of_cross_entropy():
     seqs = [TrainSeq(ids=rng.integers(0, 12, size=10), start=4, end=10) for _ in range(3)]
     total = sum(masked_nll(params, cfg, s, reduction="sum").item() for s in seqs)
     count = sum(s.n_target_tokens for s in seqs)
-    assert perplexity(params, cfg, seqs) == pytest.approx(np.exp(total / count), rel=1e-6)
+    assert np.exp(corpus_nll(params, cfg, seqs)) == pytest.approx(np.exp(total / count), rel=1e-6)
 
 
+@pytest.mark.filterwarnings("ignore:cross_entropy_masked")
 def test_perplexity_empty_corpus_is_error():
     params, cfg = toy_model()
     with pytest.raises(ValueError):
-        perplexity(params, cfg, [])
+        np.exp(corpus_nll(params, cfg, []))
+    no_targets = TrainSeq(ids=np.arange(6), start=3, end=3)
+    with pytest.raises(ValueError):
+        np.exp(corpus_nll(params, cfg, [no_targets]))
 
 
 # training behavior on the synthetic corpus (fixture in conftest)
@@ -329,9 +331,10 @@ def test_perplexity_empty_corpus_is_error():
 def test_joint_overfit_reaches_low_nll(overfit_world):
     w = overfit_world
     assert w["hist"].epoch_nll[-1] < 0.1
+    models = [(w["theta"], w["cfg"]), (w["beta"], w["cfg"])]
     for item in w["items"][:4]:
-        assert sentence_loss(w["theta"], w["cfg"], item.sentence_seq).item() < 0.1
-        assert csi_loss(w["beta"], w["cfg"], item.effect_seq, item.cause_seq).item() < 0.1
+        assert masked_nll(w["theta"], w["cfg"], item.sentence_seq).item() < 0.1
+        assert item_loss(models, item.terms[1:])[0].item() < 0.1
 
 
 def test_epoch_loss_decreases_monotonically_early(overfit_world):
@@ -342,7 +345,7 @@ def test_epoch_loss_decreases_monotonically_early(overfit_world):
 
 def test_32_example_corpus_loss_decreases_over_epochs():
     # fixed 32-example corpus (16 stories x 2 iterations), fixed seed
-    from coins.train import build_joint_items, train_joint
+    from coins.train import build_joint_items
 
     stories, records = synthetic.generate(16, seed=9)
     examples = build_nsc_corpus(stories)
@@ -353,8 +356,8 @@ def test_32_example_corpus_loss_decreases_over_epochs():
     beta = init_lm(cfg, np.random.default_rng(2))
     items = build_joint_items(examples, vocab, Flavor.GENERAL, records)
     assert len(items) == 32
-    hist = train_joint(theta, beta, cfg, cfg, items,
-                       TrainConfig(batch_size=8, epochs=5, learning_rate=2e-3, seed=3))
+    hist = train_models([(theta, cfg), (beta, cfg)], [item.terms for item in items],
+                        TrainConfig(batch_size=8, epochs=5, learning_rate=2e-3, seed=3))
     assert hist.epoch_loss[0] > hist.epoch_loss[1] > hist.epoch_loss[2] > hist.epoch_loss[3]
 
 
@@ -372,22 +375,22 @@ def test_trained_model_is_sensitive_to_rule_swap(overfit_world):
     )
     # donor effect rules describe a different story, so the overfit model
     # should assign the gold sentence a clearly different (worse) loss
-    lg = sentence_loss(w["theta"], w["cfg"], good).item()
-    ls = sentence_loss(w["theta"], w["cfg"], swapped).item()
+    lg = masked_nll(w["theta"], w["cfg"], good).item()
+    ls = masked_nll(w["theta"], w["cfg"], swapped).item()
     assert abs(ls - lg) > 0.05
 
 
 def test_memorized_corpus_perplexity(overfit_world):
     w = overfit_world
     seqs = [i.sentence_seq for i in w["items"]]
-    assert perplexity(w["theta"], w["cfg"], seqs) < 1.2
+    assert np.exp(corpus_nll(w["theta"], w["cfg"], seqs)) < 1.2
 
 
 def test_dynamic_rule_conditioning(overfit_world):
     # sentence inputs track the rule model's own decodes: with the overfit
     # rule model they match the gold-rule serialization, and the refresh
     # hook keeps the joint loop running end to end
-    from coins.train import decoded_rule_items, train_joint
+    from coins.train import decoded_rule_items
 
     w = overfit_world
     items = decoded_rule_items(w["examples"][:2], w["vocab"], Flavor.GENERAL,
@@ -402,12 +405,13 @@ def test_dynamic_rule_conditioning(overfit_world):
 
     def refresh(epoch):
         calls.append(epoch)
-        return decoded_rule_items(w["examples"][:2], w["vocab"], Flavor.GENERAL,
-                                  w["records"], beta, w["cfg"], max_rule_tokens=24)
+        items = decoded_rule_items(w["examples"][:2], w["vocab"], Flavor.GENERAL,
+                                   w["records"], beta, w["cfg"], max_rule_tokens=24)
+        return [item.terms for item in items]
 
-    hist = train_joint(theta, beta, w["cfg"], w["cfg"], [],
-                       TrainConfig(batch_size=4, epochs=2, learning_rate=1e-3, seed=0),
-                       refresh_items=refresh)
+    hist = train_models([(theta, w["cfg"]), (beta, w["cfg"])], [],
+                        TrainConfig(batch_size=4, epochs=2, learning_rate=1e-3, seed=0),
+                        refresh_items=refresh)
     assert calls == [0, 1] and hist.steps == 2
 
 
@@ -416,12 +420,9 @@ def test_baseline_overfits_eight_stories(overfit_world):
     cfg = w["cfg"]
     params = init_lm(cfg, np.random.default_rng(3))
     seqs = build_baseline_seqs(w["examples"], w["vocab"])
-    hist = train_lm(params, cfg, seqs,
-                    TrainConfig(batch_size=8, epochs=200, learning_rate=2e-3, seed=0, target_nll=0.08))
+    hist = train_models([(params, cfg)], [[(0, seq)] for seq in seqs],
+                        TrainConfig(batch_size=8, epochs=200, learning_rate=2e-3, seed=0, target_nll=0.08))
     assert hist.epoch_nll[-1] < 0.1
-    # code-path equality: the baseline loss is sentence_loss on the same seq
-    for seq in seqs[:3]:
-        assert baseline_lm_loss(params, cfg, seq).item() == sentence_loss(params, cfg, seq).item()
 
 
 # persistence

@@ -92,4 +92,4 @@ def test_rule_decode_fits_position_budget():
     prompt = csi_source(state, state.current_sentence, RelationType.EFFECT)
     decode_cfg = DecodeConfig(beam_width=1, max_new_tokens=48, stop_token=vocab.eos)
     assert len(encode(prompt, vocab)) + decode_cfg.max_new_tokens > cfg.max_positions
-    assert _decode_rules(csi, vocab, prompt, decode_cfg)
+    assert _decode_rules(csi, vocab, state, state.current_sentence, RelationType.EFFECT, decode_cfg)
