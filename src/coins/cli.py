@@ -4,6 +4,8 @@ silver enrichment, recursive completion, and evaluation.
 Every subcommand writes into an output directory that receives the
 resolved run configuration (run_config.json) next to its artifacts;
 reruns into the same directory are refused unless --force is given.
+Inputs are read and checked before the directory is made, so a refused
+command leaves nothing behind.
 Exit codes: 0 success, 2 usage, 3 missing input, 4 schema violation,
 5 configuration error.
 """
@@ -35,10 +37,13 @@ from .data.corpus import (
     corpus_text_lines,
     import_glucose_delimited,
     read_glucose,
+    read_jsonl,
     read_nsc,
     read_seg,
     read_stories,
+    require,
     write_glucose,
+    write_jsonl,
     write_nsc,
     write_seg,
     write_stories,
@@ -50,9 +55,10 @@ from .data import synthetic
 from .decode import DecodeConfig
 from .errors import CoinsError, ConfigError, MissingInputError, SchemaError
 from .metrics import RatingMatrix, evaluate_corpus, fleiss_kappa
-from .model import Lm, LmConfig, init_lm, load_model, save_model
+from .model import Lm, LmConfig, Term, init_lm, load_model, save_model
 from .train import (
     TrainConfig,
+    TrainHistory,
     build_baseline_seqs,
     build_joint_items,
     build_rule_seqs,
@@ -142,6 +148,26 @@ def _flavor(value: str) -> Flavor:
 
 def _load_vocab(path: str) -> Vocab:
     return Vocab.load(_require_file(path))
+
+
+def _train_and_save(out: str, command: str, resolved: dict, force: bool, vocab_path: str,
+                    models: list[tuple[str, Lm]], items: list[list[Term]], tcfg: TrainConfig,
+                    refresh_items=None) -> TrainHistory:
+    """The tail of every training command: refuse overlong sequences, make
+    the run directory, train, then save each named model, the vocabulary
+    and history.json."""
+    for k, (_, lm) in enumerate(models):
+        check_lengths((seq for terms in items for i, seq in terms if i == k), lm.config)
+    out_dir = _prepare_out(out, command, resolved, force)
+    hist = train_models([(lm.params, lm.config) for _, lm in models], items, tcfg,
+                        refresh_items=refresh_items)
+    for name, lm in models:
+        save_model(out_dir, lm, name=name)
+    shutil.copy(vocab_path, out_dir / "vocab.json")
+    (out_dir / "history.json").write_text(json.dumps(
+        {"epoch_nll": hist.epoch_nll, "epoch_loss": hist.epoch_loss, "steps": hist.steps},
+        indent=2) + "\n")
+    return hist
 
 
 @click.group()
@@ -264,15 +290,9 @@ def train_csi(nsc_path, glucose_path, vocab_path, flavor, config_path, seed, epo
     mcfg = _model_config(len(vocab), cfg_file)
     resolved = {"nsc": str(nsc_path), "glucose": str(glucose_path), "flavor": flavor,
                 "train": tcfg.to_json(), "model": mcfg.to_json()}
-    seqs = build_rule_seqs(examples, vocab, flav, records)
-    check_lengths(seqs, mcfg)
-    out_dir = _prepare_out(out, "train-csi", resolved, force)
-    params = init_lm(mcfg, np.random.default_rng(tcfg.seed))
-    hist = train_models([(params, mcfg)], [[(0, seq)] for seq in seqs], tcfg)
-    save_model(out_dir, Lm(params=params, config=mcfg, role=FLAVOR_ROLE[flav]), name="csi")
-    shutil.copy(vocab_path, out_dir / "vocab.json")
-    (out_dir / "history.json").write_text(json.dumps(
-        {"epoch_nll": hist.epoch_nll, "steps": hist.steps}, indent=2) + "\n")
+    csi = Lm(init_lm(mcfg, np.random.default_rng(tcfg.seed)), mcfg, FLAVOR_ROLE[flav])
+    items = [[(0, seq)] for seq in build_rule_seqs(examples, vocab, flav, records)]
+    hist = _train_and_save(out, "train-csi", resolved, force, vocab_path, [("csi", csi)], items, tcfg)
     click.echo(f"trained rule model: {hist.steps} steps, final nll/token {hist.epoch_nll[-1]:.4f}")
 
 
@@ -332,7 +352,6 @@ def train_coins(nsc_path, seg_path, glucose_path, vocab_path, flavor, rules, abl
     tcfg = _train_config(cfg_file, seed=seed, epochs=epochs)
     mcfg = _model_config(len(vocab), cfg_file)
 
-    refresh = None
     if seg_path is not None:
         if records is None:
             raise ConfigError("ending-generation training needs --glucose")
@@ -346,31 +365,25 @@ def train_coins(nsc_path, seg_path, glucose_path, vocab_path, flavor, rules, abl
         use_silver = rules == "silver" or (rules == "auto" and all(ex.silver_rules for ex in examples))
         if not use_silver and records is None:
             raise ConfigError("gold training needs --glucose (or silver rules in the corpus)")
+        if dynamic_rules and records is None:
+            raise ConfigError("--dynamic-rules needs --glucose for the rule targets")
         items = build_joint_items(
             examples, vocab, flav, records, use_silver=use_silver,
             ablation_mix=ablation_mix, rng=np.random.default_rng(tcfg.seed + 1),
         )
-    check_lengths((seq for item in items for _, seq in item.terms), mcfg)
+    theta = Lm(init_lm(mcfg, np.random.default_rng(tcfg.seed)), mcfg, "sentence")
+    beta = Lm(init_lm(mcfg, np.random.default_rng(tcfg.seed + 7919)), mcfg, FLAVOR_ROLE[flav])
+    refresh = None
+    if dynamic_rules:
+        refresh = lambda epoch: [
+            item.terms for item in decoded_rule_items(examples, vocab, flav, records, beta.params, mcfg)
+        ]
     resolved = {"nsc": nsc_path, "seg": seg_path, "glucose": glucose_path, "flavor": flavor,
                 "rules": "silver" if use_silver else "gold", "ablation_mix": ablation_mix,
                 "dynamic_rules": dynamic_rules, "train": tcfg.to_json(), "model": mcfg.to_json()}
-    out_dir = _prepare_out(out, "train-coins", resolved, force)
-    theta = init_lm(mcfg, np.random.default_rng(tcfg.seed))
-    beta = init_lm(mcfg, np.random.default_rng(tcfg.seed + 7919))
-    if dynamic_rules:
-        if records is None:
-            raise ConfigError("--dynamic-rules needs --glucose for the rule targets")
-        refresh = lambda epoch: [
-            item.terms for item in decoded_rule_items(examples, vocab, flav, records, beta, mcfg)
-        ]
-    hist = train_models([(theta, mcfg), (beta, mcfg)], [item.terms for item in items], tcfg,
-                        refresh_items=refresh)
-    save_model(out_dir, Lm(params=theta, config=mcfg, role="sentence"), name="sentence")
-    save_model(out_dir, Lm(params=beta, config=mcfg, role=FLAVOR_ROLE[flav]), name="csi")
-    shutil.copy(vocab_path, out_dir / "vocab.json")
-    (out_dir / "history.json").write_text(json.dumps(
-        {"epoch_nll": hist.epoch_nll, "epoch_loss": hist.epoch_loss, "steps": hist.steps},
-        indent=2) + "\n")
+    hist = _train_and_save(out, "train-coins", resolved, force, vocab_path,
+                           [("sentence", theta), ("csi", beta)], [item.terms for item in items],
+                           tcfg, refresh_items=refresh)
     click.echo(f"trained both models: {hist.steps} joint steps, final nll/token {hist.epoch_nll[-1]:.4f}")
 
 
@@ -392,12 +405,6 @@ def train_baseline(nsc_path, vocab_path, init_dir, config_path, seed, epochs, ou
     examples = read_nsc(_require_file(nsc_path))
     tcfg = _train_config(cfg_file, seed=seed, epochs=epochs)
     mcfg = _model_config(len(vocab), cfg_file)
-    seqs = build_baseline_seqs(examples, vocab)
-    check_lengths(seqs, mcfg)
-    out_dir = _prepare_out(out, "train-baseline",
-                           {"nsc": str(nsc_path), "init_from": init_dir,
-                            "train": tcfg.to_json(), "model": mcfg.to_json()},
-                           force)
     if init_dir is not None:
         _require_file(Path(init_dir) / "csi.ckpt")
         warm = load_model(init_dir, name="csi")
@@ -406,9 +413,11 @@ def train_baseline(nsc_path, vocab_path, init_dir, config_path, seed, epochs, ou
         params = warm.params
     else:
         params = init_lm(mcfg, np.random.default_rng(tcfg.seed))
-    hist = train_models([(params, mcfg)], [[(0, seq)] for seq in seqs], tcfg)
-    save_model(out_dir, Lm(params=params, config=mcfg, role="baseline"), name="baseline")
-    shutil.copy(vocab_path, out_dir / "vocab.json")
+    resolved = {"nsc": str(nsc_path), "init_from": init_dir,
+                "train": tcfg.to_json(), "model": mcfg.to_json()}
+    items = [[(0, seq)] for seq in build_baseline_seqs(examples, vocab)]
+    hist = _train_and_save(out, "train-baseline", resolved, force, vocab_path,
+                           [("baseline", Lm(params, mcfg, "baseline"))], items, tcfg)
     click.echo(f"trained baseline: {hist.steps} steps, final nll/token {hist.epoch_nll[-1]:.4f}")
 
 
@@ -493,15 +502,9 @@ def complete(nsc_path, seg_path, models_dir, mode, beam, max_sentence_tokens, ma
             for row in rows
         ]
 
-    with open(out_dir / "completions.jsonl", "w", encoding="utf-8") as f:
-        for row in rows:
-            f.write(json.dumps(row, ensure_ascii=True) + "\n")
-    with open(out_dir / "completed_stories.jsonl", "w", encoding="utf-8") as f:
-        for row in stories:
-            f.write(json.dumps(row, ensure_ascii=True) + "\n")
-    with open(out_dir / "trace.jsonl", "w", encoding="utf-8") as f:
-        for trace in traces:
-            f.write(trace.to_jsonl())
+    write_jsonl(out_dir / "completions.jsonl", rows)
+    write_jsonl(out_dir / "completed_stories.jsonl", stories)
+    write_jsonl(out_dir / "trace.jsonl", (row for trace in traces for row in trace.rows()))
     summary = {
         "mode": mode,
         "n_examples": len(rows),
@@ -517,12 +520,7 @@ def complete(nsc_path, seg_path, models_dir, mode, beam, max_sentence_tokens, ma
 
 
 def _gold_references(gold_path: Path) -> dict[str, list[str]]:
-    first = None
-    with open(gold_path, encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                first = json.loads(line)
-                break
+    first = next((row for _, row in read_jsonl(gold_path)), None)
     if first is None:
         raise SchemaError(f"{gold_path}: empty corpus")
     if "targets" in first:
@@ -548,11 +546,9 @@ def evaluate(system_dirs, gold_path, ppl_model_dir, kappa_csv, out, force):
     for d in system_dirs:
         path = _require_file(Path(d) / "completions.jsonl")
         run = {}
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                if line.strip():
-                    row = json.loads(line)
-                    run[str(row["id"])] = str(row["text"])
+        for lineno, row in read_jsonl(path):
+            require(row, ["id", "text"], f"{path}:{lineno}")
+            run[str(row["id"])] = str(row["text"])
         runs.append(run)
 
     ppl = None
@@ -565,10 +561,10 @@ def evaluate(system_dirs, gold_path, ppl_model_dir, kappa_csv, out, force):
 
     resolved = {"system": [str(s) for s in system_dirs], "gold": str(gold_path),
                 "ppl_model": ppl_model_dir, "kappa_csv": kappa_csv}
-    out_dir = _prepare_out(out, "evaluate", resolved, force)
     report = evaluate_corpus(runs, gold, ppl=ppl, config=resolved)
     if kappa_csv is not None:
         report.metrics["fleiss_kappa"] = fleiss_kappa(RatingMatrix.from_csv(_require_file(kappa_csv)))
+    out_dir = _prepare_out(out, "evaluate", resolved, force)
     report.save(out_dir / "report.json")
     click.echo(report.to_json().rstrip())
 
@@ -583,13 +579,16 @@ def inspect_trace(run_dir, example_id, iteration):
     path = _require_file(Path(run_dir) / "trace.jsonl")
     current = None
     shown = 0
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        row = json.loads(line)
+    for lineno, row in read_jsonl(path):
+        where = f"{path}:{lineno}"
         if "example_id" in row:
+            require(row, ["mode"], where)
             current = row
             continue
+        if current is None:
+            raise SchemaError(f"{where}: iteration record before any trace header")
+        require(row, ["iteration", "effect_rules", "cause_rules", "sentence_input", "sentence",
+                      "sentence_score"], where)
         if example_id is not None and current["example_id"] != example_id:
             continue
         if iteration is not None and row["iteration"] != iteration:

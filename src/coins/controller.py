@@ -13,10 +13,9 @@ are appended to an inspectable rule memory.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import asdict, dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -81,13 +80,6 @@ class IterationRecord:
     decode: dict
     error: str | None = None
 
-    def to_row(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_row(cls, row: dict) -> "IterationRecord":
-        return cls(**row)
-
 
 @dataclass
 class GenerationTrace:
@@ -95,18 +87,11 @@ class GenerationTrace:
     mode: str
     records: list[IterationRecord] = field(default_factory=list)
 
-    def to_jsonl(self) -> str:
-        lines = [json.dumps({"example_id": self.example_id, "mode": self.mode}, ensure_ascii=True)]
-        lines.extend(json.dumps(r.to_row(), ensure_ascii=True) for r in self.records)
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_jsonl(cls, text: str) -> "GenerationTrace":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        head = json.loads(lines[0])
-        trace = cls(example_id=head["example_id"], mode=head["mode"])
-        trace.records = [IterationRecord.from_row(json.loads(ln)) for ln in lines[1:]]
-        return trace
+    def rows(self) -> Iterator[dict]:
+        """The trace as JSONL rows: a header, then one row per iteration."""
+        yield {"example_id": self.example_id, "mode": self.mode}
+        for record in self.records:
+            yield asdict(record)
 
 
 @dataclass
@@ -207,11 +192,6 @@ def gen_next_sentence(
     return sentence, result, prompt, kept_rules
 
 
-def update_context(state: StoryState, sentence: str) -> StoryState:
-    """Insert the generated sentence directly before the gap marker."""
-    return state.with_sentence(sentence)
-
-
 def _rule_block_states(sentence_model: Lm, vocab: Vocab, prompt: str, rules_text: str) -> np.ndarray:
     """Final-layer hidden states over the rule-token span of the sentence
     model's input; empty rule blocks yield a zero-row block."""
@@ -303,7 +283,7 @@ def _run_loop(
                     decode=cfg.sentence_decode.to_json(),
                 )
             )
-            state = update_context(state, sentence) if sentence else state
+            state = state.with_sentence(sentence) if sentence else state
         except SchemaError:
             raise
         except Exception as e:  # partial trace with an error marker
@@ -325,31 +305,6 @@ def _run_loop(
             )
             break
     return generated, memory, trace
-
-
-def run_coins(
-    models: CoinsModels,
-    vocab: Vocab,
-    state: StoryState,
-    n_sentences: int,
-    cfg: ControllerConfig,
-    example_id: str = "",
-) -> tuple[list[str], RuleMemory, GenerationTrace]:
-    """Full recursive run: n_sentences-3 iterations of rules + sentence."""
-    return run_ablation(MODE_FULL, models, vocab, state, n_sentences, cfg, example_id)
-
-
-def run_oracle(
-    models: CoinsModels,
-    vocab: Vocab,
-    state: StoryState,
-    n_sentences: int,
-    silver_rules: dict[int, SilverPair],
-    cfg: ControllerConfig,
-    example_id: str = "",
-) -> tuple[list[str], RuleMemory, GenerationTrace]:
-    """Skip rule decoding; condition generation on the provided bundles."""
-    return run_ablation(MODE_ORACLE, models, vocab, state, n_sentences, cfg, example_id, silver_rules)
 
 
 def run_ablation(

@@ -80,7 +80,9 @@ def split_by_story_id(stories: list[Story], dev_fraction: float, seed: int) -> t
 # JSONL
 
 
-def _read_jsonl(path) -> Iterator[tuple[int, dict]]:
+def read_jsonl(path) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for every non-blank line; a line that is not
+    a JSON object raises SchemaError naming the file and line."""
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -95,13 +97,14 @@ def _read_jsonl(path) -> Iterator[tuple[int, dict]]:
             yield lineno, row
 
 
-def _write_jsonl(path, rows: Iterable[dict]) -> None:
+def write_jsonl(path, rows: Iterable[dict]) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for row in rows:
             f.write(json.dumps(row, ensure_ascii=True) + "\n")
 
 
-def _require(row: dict, keys: list[str], where: str) -> None:
+def require(row: dict, keys: list[str], where: str) -> None:
+    """Raise SchemaError at ``where`` unless ``row`` has every key."""
     missing = [k for k in keys if k not in row]
     if missing:
         raise SchemaError(f"{where}: missing fields {missing}")
@@ -109,8 +112,8 @@ def _require(row: dict, keys: list[str], where: str) -> None:
 
 def read_stories(path) -> list[Story]:
     out = []
-    for lineno, row in _read_jsonl(path):
-        _require(row, ["id", "sentences"], f"{path}:{lineno}")
+    for lineno, row in read_jsonl(path):
+        require(row, ["id", "sentences"], f"{path}:{lineno}")
         if not isinstance(row["sentences"], list):
             raise SchemaError(f"{path}:{lineno}: 'sentences' must be a list")
         out.append(
@@ -120,13 +123,13 @@ def read_stories(path) -> list[Story]:
 
 
 def write_stories(path, stories: Iterable[Story]) -> None:
-    _write_jsonl(path, ({"id": s.id, "sentences": list(s.sentences)} for s in stories))
+    write_jsonl(path, ({"id": s.id, "sentences": list(s.sentences)} for s in stories))
 
 
 def read_glucose(path) -> list[GlucoseRecord]:
     out = []
-    for lineno, row in _read_jsonl(path):
-        _require(row, ["story_id", "sentence_index", "dimension", "specific", "general"], f"{path}:{lineno}")
+    for lineno, row in read_jsonl(path):
+        require(row, ["story_id", "sentence_index", "dimension", "specific", "general"], f"{path}:{lineno}")
         try:
             out.append(
                 GlucoseRecord(
@@ -143,7 +146,7 @@ def read_glucose(path) -> list[GlucoseRecord]:
 
 
 def write_glucose(path, records: Iterable[GlucoseRecord]) -> None:
-    _write_jsonl(
+    write_jsonl(
         path,
         (
             {
@@ -212,7 +215,7 @@ def nsc_to_row(ex: NscExample) -> dict:
 
 
 def nsc_from_row(row: dict, where: str, flavor: Flavor = Flavor.GENERAL) -> NscExample:
-    _require(row, ["id", "context", "targets"], where)
+    require(row, ["id", "context", "targets"], where)
     ctx = row["context"]
     if not (isinstance(ctx, list) and len(ctx) == 4 and ctx[2] == SEPARATOR_FIELD):
         raise SchemaError(f"{where}: context must be [s1, s2, '{SEPARATOR_FIELD}', s_n]")
@@ -220,7 +223,7 @@ def nsc_from_row(row: dict, where: str, flavor: Flavor = Flavor.GENERAL) -> NscE
     if "silver_rules" in row and row["silver_rules"] is not None:
         silver = {}
         for key, pair in row["silver_rules"].items():
-            _require(pair, ["effect", "cause"], f"{where} silver_rules[{key}]")
+            require(pair, ["effect", "cause"], f"{where} silver_rules[{key}]")
             silver[int(key)] = SilverPair(
                 effect=bundle_from_texts(pair["effect"], RelationType.EFFECT, flavor),
                 cause=bundle_from_texts(pair["cause"], RelationType.CAUSE, flavor),
@@ -235,17 +238,17 @@ def nsc_from_row(row: dict, where: str, flavor: Flavor = Flavor.GENERAL) -> NscE
 
 
 def read_nsc(path, flavor: Flavor = Flavor.GENERAL) -> list[NscExample]:
-    return [nsc_from_row(row, f"{path}:{lineno}", flavor) for lineno, row in _read_jsonl(path)]
+    return [nsc_from_row(row, f"{path}:{lineno}", flavor) for lineno, row in read_jsonl(path)]
 
 
 def write_nsc(path, examples: Iterable[NscExample]) -> None:
-    _write_jsonl(path, (nsc_to_row(ex) for ex in examples))
+    write_jsonl(path, (nsc_to_row(ex) for ex in examples))
 
 
 def read_seg(path) -> list[SegExample]:
     out = []
-    for lineno, row in _read_jsonl(path):
-        _require(row, ["id", "context", "target"], f"{path}:{lineno}")
+    for lineno, row in read_jsonl(path):
+        require(row, ["id", "context", "target"], f"{path}:{lineno}")
         ctx = row["context"]
         if not (isinstance(ctx, list) and len(ctx) == 4):
             raise SchemaError(f"{path}:{lineno}: SEG context must be 4 sentences")
@@ -254,7 +257,7 @@ def read_seg(path) -> list[SegExample]:
 
 
 def write_seg(path, examples: Iterable[SegExample]) -> None:
-    _write_jsonl(path, ({"id": e.id, "context": list(e.context), "target": e.target} for e in examples))
+    write_jsonl(path, ({"id": e.id, "context": list(e.context), "target": e.target} for e in examples))
 
 
 def corpus_text_lines(path) -> list[str]:
@@ -262,7 +265,7 @@ def corpus_text_lines(path) -> list[str]:
     for vocabulary training."""
     path = Path(path)
     lines: list[str] = []
-    for _, row in _read_jsonl(path):
+    for _, row in read_jsonl(path):
         if "sentences" in row:
             lines.extend(str(s) for s in row["sentences"])
         elif "targets" in row:

@@ -10,7 +10,15 @@ import logging
 from ..decode import DecodeConfig, decode_rules
 from ..model import Lm
 from ..vocab import Vocab
-from .types import Flavor, NscExample, RelationType, SilverPair, StoryState, bundle_from_texts
+from .types import (
+    Flavor,
+    NscExample,
+    RelationType,
+    SilverPair,
+    StoryState,
+    bundle_from_texts,
+    teacher_state,
+)
 
 log = logging.getLogger(__name__)
 
@@ -52,7 +60,7 @@ def enrich_with_silver(
     for ex in examples:
         silver: dict[int, SilverPair] = {}
         for it in range(1, len(ex.targets) + 1):
-            state = StoryState(prefix=(*ex.beginning, *ex.targets[: it - 1]), ending=ex.ending)
+            state = teacher_state(ex, it)
             effect = _decode_rules(csi, vocab, state, state.current_sentence, RelationType.EFFECT, cfg)
             cause = _decode_rules(csi, vocab, state, ex.ending, RelationType.CAUSE, cfg)
             silver[it] = SilverPair(

@@ -190,3 +190,11 @@ class StoryState:
 
 def initial_state(example: NscExample) -> StoryState:
     return StoryState(prefix=example.beginning, ending=example.ending)
+
+
+def teacher_state(example: NscExample, iteration: int) -> StoryState:
+    """Context before iteration i (1-based): beginning + gold middles so far."""
+    return StoryState(
+        prefix=(*example.beginning, *example.targets[: iteration - 1]),
+        ending=example.ending,
+    )

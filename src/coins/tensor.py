@@ -75,39 +75,11 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         backward(self)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, grad={self.requires_grad})"
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other, self.dtype), self)
-
-    def __sub__(self, other):
-        return add(self, scale(_as_tensor(other, self.dtype), -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _as_tensor(x, dtype) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype))
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:

@@ -36,6 +36,7 @@ from .data.types import (
     SegExample,
     StoryState,
     initial_state,
+    teacher_state,
 )
 from .errors import ConfigError, SchemaError
 from .model import JointItem, LmConfig, Term, TrainSeq, item_loss, make_train_seq, masked_nll
@@ -70,14 +71,6 @@ def _encode_pair(prompt: str, full: str, vocab: Vocab) -> TrainSeq:
     if full_ids[: len(prompt_ids)] != prompt_ids:
         raise SchemaError("prompt is not a token prefix of its training line")
     return make_train_seq(prompt_ids, full_ids[len(prompt_ids) :])
-
-
-def teacher_state(example: NscExample, iteration: int) -> StoryState:
-    """Context before iteration i (1-based): beginning + gold middles so far."""
-    return StoryState(
-        prefix=(*example.beginning, *example.targets[: iteration - 1]),
-        ending=example.ending,
-    )
 
 
 def _by_story(records: list[GlucoseRecord]) -> dict[str, list[GlucoseRecord]]:

@@ -117,11 +117,6 @@ class Vocab:
     def rel_cause(self) -> int:
         return 8
 
-    def relation_id(self, relation) -> int:
-        # accepts a RelationType or its string value
-        value = getattr(relation, "value", relation)
-        return self.rel_cause if str(value).lower() == "cause" else self.rel_effect
-
     def save(self, path) -> None:
         payload = {
             "version": VOCAB_FORMAT_VERSION,

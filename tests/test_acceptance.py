@@ -21,7 +21,6 @@ from coins.controller import (
     complete_baseline,
     default_controller_config,
     run_ablation,
-    run_coins,
 )
 from coins.data import synthetic
 from coins.data.corpus import (
@@ -188,8 +187,8 @@ def test_criterion_3_memorization(memorization_world):
     cfg = default_controller_config(w["vocab"], beam=5, max_sentence_tokens=14,
                                     max_rule_tokens_per_decode=40)
     hits = sum(
-        tuple(run_coins(models, w["vocab"], initial_state(ex), ex.n_sentences, cfg,
-                        example_id=ex.id)[0]) == ex.targets
+        tuple(run_ablation(MODE_FULL, models, w["vocab"], initial_state(ex), ex.n_sentences, cfg,
+                           example_id=ex.id)[0]) == ex.targets
         for ex in w["examples"]
     )
     elapsed = w["train_time"] + (time.time() - t0)
@@ -317,7 +316,7 @@ def test_criterion_6_algorithm_shape():
     results = {}
     for n in (5, 4):
         state = StoryState(prefix=("one two .", "three four ."), ending="five .")
-        sents, memory, trace = run_coins(models, vocab, state, n, ccfg)
+        sents, memory, trace = run_ablation(MODE_FULL, models, vocab, state, n, ccfg)
         results[n] = (len(sents), len(memory), len(trace.records))
     ok = results[5] == (2, 2, 2) and results[4] == (1, 1, 1)
     report(6, ok, f"n=5 -> {results[5]}, n=4 -> {results[4]} (sentences, memory blocks, trace entries)")

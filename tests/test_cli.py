@@ -196,6 +196,9 @@ def test_train_baseline_and_complete(pipeline, tmp_path):
                "--vocab", root / "vocab/vocab.json", "--config", cfg,
                "--out", tmp_path / "base")
     assert r.exit_code == 0, r.output
+    history = json.loads((tmp_path / "base/history.json").read_text())
+    assert history.keys() == json.loads((root / "models/history.json").read_text()).keys()
+    assert len(history["epoch_nll"]) == len(history["epoch_loss"]) > 0
     r = invoke(runner, "complete", "--nsc", root / "nsc/nsc.jsonl", "--models", tmp_path / "base",
                "--mode", "full", "--out", tmp_path / "run_base")
     assert r.exit_code == 0, r.output
@@ -261,3 +264,73 @@ def test_overlong_sequences_are_config_errors(tmp_path, command):
     assert r.exit_code == 5, r.output
     assert re.search(r"length \d+ exceeds max_positions 16", r.output), r.output
     assert not (tmp_path / "out" / "run_config.json").exists()
+
+
+@pytest.mark.parametrize("line", [
+    '{"id": "a", "text": ',
+    '{"text": "no id"}',
+    '{"id": "a"}',
+], ids=["truncated-json", "no-id", "no-text"])
+def test_malformed_completions_are_schema_errors(pipeline, tmp_path, line):
+    root, runner, _ = pipeline
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "completions.jsonl").write_text(line + "\n")
+    r = invoke(runner, "evaluate", "--system", run, "--gold", root / "nsc/nsc.jsonl",
+               "--out", tmp_path / "eval")
+    assert r.exit_code == 4, r.output
+    assert "error:" in r.output and "completions.jsonl:1" in r.output
+    assert not (tmp_path / "eval" / "run_config.json").exists()
+
+
+def test_malformed_gold_is_schema_error(pipeline, tmp_path):
+    root, runner, _ = pipeline
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text("not json\n")
+    r = invoke(runner, "evaluate", "--system", root / "run_full", "--gold", gold,
+               "--out", tmp_path / "eval")
+    assert r.exit_code == 4, r.output
+    assert "error:" in r.output
+
+
+@pytest.mark.parametrize("text", [
+    '{"example_id": "a", "mode": "full"}\n{"iteration": 1,\n',
+    '{"iteration": 1, "effect_rules": [], "cause_rules": [], "sentence_input": "x", '
+    '"sentence": "y", "sentence_score": 0.0}\n',
+    '{"example_id": "a", "mode": "full"}\n{"iteration": 1}\n',
+], ids=["truncated-record", "no-header", "missing-fields"])
+def test_malformed_trace_is_schema_error(pipeline, tmp_path, text):
+    _, runner, _ = pipeline
+    (tmp_path / "trace.jsonl").write_text(text)
+    r = invoke(runner, "inspect-trace", "--run", tmp_path)
+    assert r.exit_code == 4, r.output
+    assert "error:" in r.output and "trace.jsonl" in r.output
+
+
+def test_init_from_refusals_leave_no_run_dir(pipeline, tmp_path):
+    root, runner, cfg = pipeline
+    args = ["train-baseline", "--nsc", root / "nsc/nsc.jsonl", "--vocab", root / "vocab/vocab.json"]
+    r = invoke(runner, *args, "--init-from", tmp_path / "nowhere", "--config", cfg,
+               "--out", tmp_path / "missing")
+    assert r.exit_code == 3, r.output
+    assert not (tmp_path / "missing" / "run_config.json").exists()
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"model": {"max_positions": 160, "hidden": 32}}))
+    r = invoke(runner, *args, "--init-from", root / "models", "--config", other,
+               "--out", tmp_path / "mismatch")
+    assert r.exit_code == 5, r.output
+    assert "architecture" in r.output
+    assert not (tmp_path / "mismatch" / "run_config.json").exists()
+
+
+def test_silver_dynamic_rules_without_glucose_leaves_no_run_dir(pipeline, tmp_path):
+    root, runner, cfg = pipeline
+    r = invoke(runner, "enrich", "--nsc", root / "nsc/nsc.jsonl", "--csi", root / "models",
+               "--max-rule-tokens", 8, "--out", tmp_path / "silver")
+    assert r.exit_code == 0, r.output
+    r = invoke(runner, "train-coins", "--nsc", tmp_path / "silver/nsc.jsonl",
+               "--vocab", root / "vocab/vocab.json", "--config", cfg, "--dynamic-rules",
+               "--out", tmp_path / "dyn")
+    assert r.exit_code == 5, r.output
+    assert "--glucose" in r.output
+    assert not (tmp_path / "dyn" / "run_config.json").exists()

@@ -8,13 +8,11 @@ from coins.controller import (
     concat_rules,
     default_controller_config,
     run_ablation,
-    run_coins,
-    run_oracle,
     run_seg,
-    update_context,
 )
 from coins.data.rules import aggregate_rules
-from coins.data.serialize import MODE_FULL, MODE_IR_ONLY, MODE_IR_WO_SE, MODE_NO_IR_WO_SE
+from coins.data.corpus import read_jsonl, write_jsonl
+from coins.data.serialize import MODE_FULL, MODE_IR_ONLY, MODE_IR_WO_SE, MODE_NO_IR_WO_SE, MODE_ORACLE
 from coins.data.types import (
     Flavor,
     RelationType,
@@ -52,9 +50,9 @@ def state_of(n):
 
 def test_update_context_inserts_before_separator():
     s = StoryState(prefix=("s1", "s2"), ending="s5")
-    s2 = update_context(s, "s3'")
+    s2 = s.with_sentence("s3'")
     assert s2.render() == "s1 s2 s3' [SEP] s5"
-    s3 = update_context(s2, "s4'")
+    s3 = s2.with_sentence("s4'")
     assert s3.render() == "s1 s2 s3' s4' [SEP] s5"
     assert s3.ending == s.ending
 
@@ -65,7 +63,7 @@ def test_update_context_inserts_before_separator():
 @pytest.mark.parametrize("n,want", [(5, 2), (4, 1), (6, 3)])
 def test_run_coins_iteration_counts(untrained, n, want):
     vocab, models, cfg = untrained
-    sentences, memory, trace = run_coins(models, vocab, state_of(n), n, cfg, example_id="x")
+    sentences, memory, trace = run_ablation(MODE_FULL, models, vocab, state_of(n), n, cfg, example_id="x")
     assert len(sentences) == len(memory) == len(trace.records) == want
 
 
@@ -78,7 +76,7 @@ def test_rule_decodes_fit_position_budget():
                          csi=Lm(init_lm(cfg, np.random.default_rng(1)), cfg, "csi_gen"))
     state = StoryState(prefix=("one two three four five six seven eight .",) * 3,
                        ending="seven eight .")
-    sentences, _, trace = run_coins(models, vocab, state, 5, default_controller_config(vocab, beam=1))
+    sentences, _, trace = run_ablation(MODE_FULL, models, vocab, state, 5, default_controller_config(vocab, beam=1))
     assert len(sentences) == 2
     assert [rec.error for rec in trace.records] == [None, None]
 
@@ -86,13 +84,13 @@ def test_rule_decodes_fit_position_budget():
 def test_run_coins_rejects_short_story(untrained):
     vocab, models, cfg = untrained
     with pytest.raises(ValueError):
-        run_coins(models, vocab, state_of(3), 3, cfg)
+        run_ablation(MODE_FULL, models, vocab, state_of(3), 3, cfg)
 
 
 def test_final_story_keeps_positional_order(untrained):
     vocab, models, cfg = untrained
     state = state_of(5)
-    sentences, _, _ = run_coins(models, vocab, state, 5, cfg)
+    sentences, _, _ = run_ablation(MODE_FULL, models, vocab, state, 5, cfg)
     full = state.render_full(tuple(sentences)).split()
     assert full[: len("one two . three four .".split())] == "one two . three four .".split()
     assert full[-len("seven eight .".split()) :] == "seven eight .".split()
@@ -100,7 +98,7 @@ def test_final_story_keeps_positional_order(untrained):
 
 def test_rule_memory_shapes_and_append_only(untrained):
     vocab, models, cfg = untrained
-    _, memory, _ = run_coins(models, vocab, state_of(5), 5, cfg)
+    _, memory, _ = run_ablation(MODE_FULL, models, vocab, state_of(5), 5, cfg)
     arr = memory.as_array()
     assert arr.shape == (2, cfg.max_rule_tokens, models.sentence.config.hidden)
     before = len(memory)
@@ -108,20 +106,21 @@ def test_rule_memory_shapes_and_append_only(untrained):
     assert len(memory) == before + 1
 
 
-def test_trace_round_trip(untrained):
+def test_trace_round_trip(untrained, tmp_path):
     vocab, models, cfg = untrained
-    _, _, trace = run_coins(models, vocab, state_of(5), 5, cfg, example_id="story-7")
-    text = trace.to_jsonl()
-    back = GenerationTrace.from_jsonl(text)
-    assert back.to_jsonl() == text
-    assert back.example_id == "story-7" and back.mode == MODE_FULL
+    _, _, trace = run_ablation(MODE_FULL, models, vocab, state_of(5), 5, cfg, example_id="story-7")
+    write_jsonl(tmp_path / "trace.jsonl", trace.rows())
+    back = [row for _, row in read_jsonl(tmp_path / "trace.jsonl")]
+    assert back == list(trace.rows())
+    assert back[0] == {"example_id": "story-7", "mode": MODE_FULL}
+    assert [IterationRecord(**row) for row in back[1:]] == trace.records
 
 
 def test_trace_determinism_audit(untrained):
     # every recorded sentence is reproducible by re-decoding its recorded
     # serialized input with the recorded decode settings
     vocab, models, cfg = untrained
-    _, _, trace = run_coins(models, vocab, state_of(5), 5, cfg)
+    _, _, trace = run_ablation(MODE_FULL, models, vocab, state_of(5), 5, cfg)
     for rec in trace.records:
         ids = encode(rec.sentence_input, vocab)
         redo = beam_search(lm_logprob_fn(models.sentence), ids, cfg.sentence_decode)
@@ -182,8 +181,9 @@ def test_oracle_with_gold_rules_reproduces_memorized_middles(overfit_world):
     cfg = default_controller_config(vocab, beam=5, max_sentence_tokens=14, max_rule_tokens_per_decode=40)
     hits = 0
     for ex in w["examples"]:
-        sents, memory, trace = run_oracle(
-            models, vocab, initial_state(ex), ex.n_sentences, gold_pairs(w, ex), cfg, example_id=ex.id
+        sents, memory, trace = run_ablation(
+            MODE_ORACLE, models, vocab, initial_state(ex), ex.n_sentences, cfg, example_id=ex.id,
+            silver_rules=gold_pairs(w, ex),
         )
         assert trace.mode == "oracle"
         assert all(not r.csi_inputs for r in trace.records)  # no rule decoding
@@ -199,7 +199,7 @@ def test_full_mode_reproduces_memorized_middles(overfit_world):
     cfg = default_controller_config(vocab, beam=5, max_sentence_tokens=14, max_rule_tokens_per_decode=40)
     hits = 0
     for ex in w["examples"]:
-        sents, _, trace = run_coins(models, vocab, initial_state(ex), ex.n_sentences, cfg, example_id=ex.id)
+        sents, _, trace = run_ablation(MODE_FULL, models, vocab, initial_state(ex), ex.n_sentences, cfg, example_id=ex.id)
         assert len(trace.records) == 2
         hits += tuple(sents) == ex.targets
     assert hits >= 7
@@ -213,7 +213,7 @@ def test_gen_inference_rules_split_on_memorized_corpus(overfit_world):
     models = trained_models(w)
     cfg = default_controller_config(vocab, beam=5, max_sentence_tokens=14, max_rule_tokens_per_decode=40)
     ex = w["examples"][0]
-    _, _, trace = run_coins(models, vocab, initial_state(ex), ex.n_sentences, cfg)
+    _, _, trace = run_ablation(MODE_FULL, models, vocab, initial_state(ex), ex.n_sentences, cfg)
     rec = trace.records[0]
     assert len(rec.effect_rules) >= 1 and len(rec.cause_rules) >= 1
     assert rec.rules_text.count("[SEP]") == len(rec.effect_rules) + len(rec.cause_rules) - 1
@@ -227,7 +227,8 @@ def test_oracle_missing_iteration_is_error(overfit_world):
     pairs = gold_pairs(w, ex)
     del pairs[2]
     with pytest.raises(SchemaError):
-        run_oracle(models, w["vocab"], initial_state(ex), ex.n_sentences, pairs, cfg)
+        run_ablation(MODE_ORACLE, models, w["vocab"], initial_state(ex), ex.n_sentences, cfg,
+                     silver_rules=pairs)
 
 
 # ablations
@@ -256,13 +257,6 @@ def test_ablation_serializations(untrained):
             assert "cause" in rec.csi_inputs and ending in rec.csi_inputs["cause"]
 
 
-def test_full_ablation_aliases_run_coins(untrained):
-    vocab, models, cfg = untrained
-    a, _, _ = run_ablation(MODE_FULL, models, vocab, state_of(5), 5, cfg)
-    b, _, _ = run_coins(models, vocab, state_of(5), 5, cfg)
-    assert a == b
-
-
 def test_unknown_mode_rejected(untrained):
     vocab, models, cfg = untrained
     with pytest.raises(ValueError):
@@ -274,7 +268,7 @@ def test_all_sentence_rule_scope(untrained):
 
     vocab, models, cfg = untrained
     wide = dataclasses.replace(cfg, rule_scope="all")
-    _, _, trace = run_coins(models, vocab, state_of(4), 4, wide, example_id="wide")
+    _, _, trace = run_ablation(MODE_FULL, models, vocab, state_of(4), 4, wide, example_id="wide")
     rec = trace.records[0]
     # both relations queried for each of: two prefix sentences + the ending
     assert sorted(rec.csi_inputs) == [
@@ -317,11 +311,14 @@ def test_seg_memorized_reproduces_endings(seg_world):
     assert hits >= 5
 
 
-def test_iteration_record_error_marker():
+def test_iteration_record_error_marker(tmp_path):
     rec = IterationRecord(
         iteration=1, effect_rules=[], cause_rules=[], rules_text="", sentence="",
         sentence_score=float("-inf"), sentence_finished=False, csi_inputs={},
         sentence_input="", decode={}, error="ValueError: boom",
     )
     trace = GenerationTrace(example_id="e", mode="full", records=[rec])
-    assert GenerationTrace.from_jsonl(trace.to_jsonl()).records[0].error == "ValueError: boom"
+    write_jsonl(tmp_path / "trace.jsonl", trace.rows())
+    rows = [row for _, row in read_jsonl(tmp_path / "trace.jsonl")]
+    assert rows[1]["error"] == "ValueError: boom"
+    assert rows[1]["sentence_score"] == float("-inf")

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from coins.controller import CoinsModels, default_controller_config, run_oracle
+from coins.controller import CoinsModels, default_controller_config, run_ablation
 from coins.data.corpus import read_nsc, write_nsc
 from coins.data.rules import render_rule
-from coins.data.serialize import csi_source
+from coins.data.serialize import MODE_ORACLE, csi_source
 from coins.data.silver import _decode_rules, enrich_with_silver
 from coins.data.types import Flavor, RelationType, StoryState, initial_state
 from coins.decode import DecodeConfig
@@ -70,8 +70,8 @@ def test_enriched_corpus_round_trips_and_feeds_oracle(tmp_path, overfit_world):
     models = CoinsModels(sentence=Lm(w["theta"], w["cfg"], "sentence"), csi=csi_of(w))
     cfg = default_controller_config(vocab, beam=5, max_sentence_tokens=14, max_rule_tokens_per_decode=40)
     ex = back[0]
-    sents, _, trace = run_oracle(models, vocab, initial_state(ex), ex.n_sentences,
-                                 ex.silver_rules, cfg, example_id=ex.id)
+    sents, _, trace = run_ablation(MODE_ORACLE, models, vocab, initial_state(ex), ex.n_sentences,
+                                   cfg, example_id=ex.id, silver_rules=ex.silver_rules)
     assert trace.mode == "oracle" and len(sents) == 2
 
 
