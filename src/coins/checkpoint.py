@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import SchemaError
+
 MAGIC = b"CKP1"
 FORMAT_VERSION = 1
 
@@ -41,20 +43,29 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -
 
 
 def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Arrays and meta of a checkpoint; a file that is not a whole
+    checkpoint of this format (bad magic or header, or a blob shorter or
+    longer than the header's arrays) raises :class:`SchemaError`."""
     raw = Path(path).read_bytes()
-    if raw[:4] != MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file")
+    if raw[:4] != MAGIC or len(raw) < 8:
+        raise SchemaError(f"{path}: not a checkpoint file")
     (hlen,) = struct.unpack("<I", raw[4:8])
-    header = json.loads(raw[8 : 8 + hlen].decode("utf-8"))
-    if header.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {header.get('format_version')}")
+    try:
+        header = json.loads(raw[8 : 8 + hlen].decode("utf-8"))
+        if header.get("format_version") != FORMAT_VERSION:
+            raise SchemaError(f"{path}: unsupported checkpoint version {header.get('format_version')}")
+        layout = [(n, tuple(header["shapes"][n]), header["dtypes"][n]) for n in header["names"]]
+        sizes = [int(np.prod(shape, dtype=np.int64)) * np.dtype(_DTYPES[dt]).itemsize
+                 for _, shape, dt in layout]
+    except (ValueError, TypeError, KeyError, AttributeError) as e:
+        raise SchemaError(f"{path}: malformed checkpoint header ({type(e).__name__}: {e})") from e
+    blob = len(raw) - 8 - hlen
+    if blob != sum(sizes):
+        raise SchemaError(f"{path}: checkpoint holds {blob} bytes of arrays, its header lists {sum(sizes)}")
     out: dict[str, np.ndarray] = {}
     offset = 8 + hlen
-    for n in header["names"]:
-        shape = tuple(header["shapes"][n])
-        dt = np.dtype(_DTYPES[header["dtypes"][n]])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
-        arr = np.frombuffer(raw[offset : offset + nbytes], dtype=dt).reshape(shape)
-        out[n] = arr.astype(header["dtypes"][n]).copy()
+    for (n, shape, dt), nbytes in zip(layout, sizes):
+        arr = np.frombuffer(raw[offset : offset + nbytes], dtype=_DTYPES[dt]).reshape(shape)
+        out[n] = arr.astype(dt).copy()
         offset += nbytes
     return out, header.get("meta", {})

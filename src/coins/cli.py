@@ -48,7 +48,7 @@ from .data.corpus import (
     write_seg,
     write_stories,
 )
-from .data.serialize import FIELD_SEP, MODE_ORACLE, MODE_SEG
+from .data.serialize import FIELD_SEP, MODE_NO_IR_WO_SE, MODE_ORACLE, MODE_SEG
 from .data.silver import enrich_with_silver
 from .data.types import Flavor, initial_state
 from .data import synthetic
@@ -155,17 +155,25 @@ def _train_and_save(out: str, command: str, resolved: dict, force: bool, vocab_p
                     refresh_items=None) -> TrainHistory:
     """The tail of every training command: refuse overlong sequences, make
     the run directory, train, then save each named model, the vocabulary
-    and history.json."""
-    for k, (_, lm) in enumerate(models):
-        check_lengths((seq for terms in items for i, seq in terms if i == k), lm.config)
+    and history.json. Items that ``refresh_items`` rebuilds during training
+    are checked too."""
+
+    def checked(items: list[list[Term]]) -> list[list[Term]]:
+        for k, (_, lm) in enumerate(models):
+            check_lengths((seq for terms in items for i, seq in terms if i == k), lm.config)
+        return items
+
+    checked(items)
     out_dir = _prepare_out(out, command, resolved, force)
+    refresh = None if refresh_items is None else lambda epoch: checked(refresh_items(epoch))
     hist = train_models([(lm.params, lm.config) for _, lm in models], items, tcfg,
-                        refresh_items=refresh_items)
+                        refresh_items=refresh)
     for name, lm in models:
         save_model(out_dir, lm, name=name)
     shutil.copy(vocab_path, out_dir / "vocab.json")
     (out_dir / "history.json").write_text(json.dumps(
-        {"epoch_nll": hist.epoch_nll, "epoch_loss": hist.epoch_loss, "steps": hist.steps},
+        {"epoch_nll": hist.epoch_nll, "epoch_loss": hist.epoch_loss, "steps": hist.steps,
+         "grad_norm": hist.grad_norm, "clip_rate": hist.clip_rate},
         indent=2) + "\n")
     return hist
 
@@ -449,6 +457,8 @@ def complete(nsc_path, seg_path, models_dir, mode, beam, max_sentence_tokens, ma
              rule_scope, out, force):
     """Run the recursive completion loop over a corpus."""
     models, vocab, kind = _load_models(Path(models_dir))
+    if kind == "coins" and models.csi is None and mode not in (MODE_ORACLE, MODE_NO_IR_WO_SE):
+        raise SchemaError(f"{models_dir}: mode {mode} needs a rule model (csi.ckpt)")
     resolved = {"nsc": nsc_path, "seg": seg_path, "models": str(models_dir), "mode": mode,
                 "beam": beam, "max_sentence_tokens": max_sentence_tokens,
                 "max_rule_tokens": max_rule_tokens, "rule_scope": rule_scope}

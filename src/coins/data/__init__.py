@@ -1,60 +1,2 @@
-from .types import (
-    Flavor,
-    GlucoseRecord,
-    NscExample,
-    RelationType,
-    RuleBundle,
-    RuleText,
-    SegExample,
-    SilverPair,
-    Story,
-    StoryState,
-    initial_state,
-)
-from .rules import aggregate_rules, cluster_dimension, parse_rule, render_rule
-from .corpus import (
-    build_nsc,
-    build_nsc_corpus,
-    build_seg,
-    build_seg_corpus,
-    read_glucose,
-    read_nsc,
-    read_seg,
-    read_stories,
-    split_by_story_id,
-    write_glucose,
-    write_nsc,
-    write_seg,
-    write_stories,
-)
-
-__all__ = [
-    "Flavor",
-    "GlucoseRecord",
-    "NscExample",
-    "RelationType",
-    "RuleBundle",
-    "RuleText",
-    "SegExample",
-    "SilverPair",
-    "Story",
-    "StoryState",
-    "aggregate_rules",
-    "build_nsc",
-    "build_nsc_corpus",
-    "build_seg",
-    "build_seg_corpus",
-    "cluster_dimension",
-    "initial_state",
-    "parse_rule",
-    "read_glucose",
-    "read_nsc",
-    "read_seg",
-    "read_stories",
-    "render_rule",
-    "split_by_story_id",
-    "write_glucose",
-    "write_nsc",
-    "write_seg",
-    "write_stories",
-]
+"""Corpus records, rule handling, serialization and the synthetic corpus;
+import from the submodules."""

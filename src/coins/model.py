@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import load_arrays, save_arrays
-from .errors import ConfigError
+from .errors import ConfigError, MissingInputError, SchemaError
 from .tensor import Tensor
 
 LN_EPS = 1e-5
@@ -98,17 +98,23 @@ def init_lm(config: LmConfig, rng: np.random.Generator, dtype=np.float32) -> dic
 _MASK_CACHE: dict[tuple[int, str], np.ndarray] = {}
 
 
-def _causal_mask(t: int, dtype) -> np.ndarray:
-    key = (t, np.dtype(dtype).name)
+def _causal_mask(config: LmConfig, dtype) -> np.ndarray:
+    """The additive (P, P) causal mask over all P = max_positions positions:
+    -inf above the diagonal. Rows t..t+s and columns ..t+s of it mask s new
+    positions that follow t cached ones."""
+    key = (config.max_positions, np.dtype(dtype).name)
     m = _MASK_CACHE.get(key)
     if m is None:
-        m = np.triu(np.full((t, t), -np.inf, dtype=dtype), k=1)
+        m = np.triu(np.full((config.max_positions,) * 2, -np.inf, dtype=dtype), k=1)
         _MASK_CACHE[key] = m
     return m
 
 
-def _affine_ln(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
-    return T.add(T.mul(T.layer_norm(x, LN_EPS), g), b)
+def _check_length(new: int, total: int, config: LmConfig) -> None:
+    if new == 0:
+        raise LengthError("empty input sequence")
+    if total > config.max_positions:
+        raise LengthError(f"sequence length {total} exceeds max_positions {config.max_positions}")
 
 
 def forward(
@@ -119,63 +125,43 @@ def forward(
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Logits (T, V) for next-token prediction at every position.
+    """Logits for next-token prediction at every position: (T, V) for one
+    sequence of ids (T,), (B, T, V) for a right-padded batch (B, T).
 
-    Position p's logits depend only on ids[:p+1]; attention to future
-    positions is cut with a -inf additive mask, which zeroes their
-    softmax weight exactly, so prefix logits are bit-stable under
-    suffix edits.
+    Position p's logits depend only on ids[..., :p+1]; attention to later
+    positions is cut with a -inf additive mask, which zeroes their softmax
+    weight exactly. So prefix logits are bit-stable under suffix edits,
+    and padding after a row's last id never reaches its real positions.
     """
     ids = np.asarray(ids, dtype=np.intp)
-    t = len(ids)
-    if t == 0:
-        raise LengthError("empty input sequence")
-    if t > config.max_positions:
-        raise LengthError(f"sequence length {t} exceeds max_positions {config.max_positions}")
+    t = ids.shape[-1]
+    _check_length(t, t, config)
     drop = config.dropout_p if train else 0.0
-    H, nh = config.hidden, config.heads
-    dh = H // nh
-    att_scale = 1.0 / float(np.sqrt(dh))
-    dtype = params["tok_emb"].dtype
+    mask = _causal_mask(config, params["tok_emb"].dtype)[:t, :t]
 
     h = T.add(T.embedding_lookup(params["tok_emb"], ids), T.narrow(params["pos_emb"], 0, 0, t))
     h = T.dropout(h, drop, rng, train)
-    mask = Tensor(_causal_mask(t, dtype))
-
     for b in range(config.layers):
         p = f"h{b}."
-        a = _affine_ln(h, params[p + "ln1.g"], params[p + "ln1.b"])
-        q = T.add(T.matmul(a, params[p + "attn.wq"]), params[p + "attn.bq"])
-        k = T.add(T.matmul(a, params[p + "attn.wk"]), params[p + "attn.bk"])
-        v = T.add(T.matmul(a, params[p + "attn.wv"]), params[p + "attn.bv"])
-        heads = []
-        for i in range(nh):
-            qi = T.narrow(q, 1, i * dh, dh)
-            ki = T.narrow(k, 1, i * dh, dh)
-            vi = T.narrow(v, 1, i * dh, dh)
-            scores = T.add(T.scale(T.matmul(qi, T.transpose(ki)), att_scale), mask)
-            att = T.dropout(T.softmax(scores, axis=-1), drop, rng, train)
-            heads.append(T.matmul(att, vi))
-        o = T.add(T.matmul(T.concat(heads, axis=1), params[p + "attn.wo"]), params[p + "attn.bo"])
+        a = T.layer_norm(h, params[p + "ln1.g"], params[p + "ln1.b"], LN_EPS)
+        q = T.matmul(a, params[p + "attn.wq"], params[p + "attn.bq"])
+        k = T.matmul(a, params[p + "attn.wk"], params[p + "attn.bk"])
+        v = T.matmul(a, params[p + "attn.wv"], params[p + "attn.bv"])
+        o = T.attention(q, k, v, config.heads, mask, drop, rng, train)
+        o = T.matmul(o, params[p + "attn.wo"], params[p + "attn.bo"])
         h = T.add(h, T.dropout(o, drop, rng, train))
 
-        m = _affine_ln(h, params[p + "ln2.g"], params[p + "ln2.b"])
-        m = T.gelu(T.add(T.matmul(m, params[p + "mlp.w1"]), params[p + "mlp.b1"]))
-        m = T.add(T.matmul(m, params[p + "mlp.w2"]), params[p + "mlp.b2"])
+        m = T.layer_norm(h, params[p + "ln2.g"], params[p + "ln2.b"], LN_EPS)
+        m = T.gelu(T.matmul(m, params[p + "mlp.w1"], params[p + "mlp.b1"]))
+        m = T.matmul(m, params[p + "mlp.w2"], params[p + "mlp.b2"])
         h = T.add(h, T.dropout(m, drop, rng, train))
 
-    hf = _affine_ln(h, params["ln_f.g"], params["ln_f.b"])
+    hf = T.layer_norm(h, params["ln_f.g"], params["ln_f.b"], LN_EPS)
     proj = params["tok_emb"] if config.tie_output_to_embedding else params["out_proj"]
     return T.matmul(hf, T.transpose(proj))
 
 
 KvCache = list[tuple[np.ndarray, np.ndarray]]
-
-
-def _ln_array(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + LN_EPS)
-    return (x - mu) * inv * g + b
 
 
 def forward_cached(
@@ -184,7 +170,8 @@ def forward_cached(
     ids,
     cache: KvCache | None = None,
 ) -> tuple[np.ndarray, np.ndarray, KvCache]:
-    """Inference forward in plain numpy: no graph, no dropout.
+    """Inference forward in plain numpy: no graph, no dropout, the same
+    kernels as :func:`forward`.
 
     ``ids`` (B, s) are new tokens that continue the ``cache`` positions:
     one (keys, values) pair of shape (B, t, H) per layer, from an earlier
@@ -196,43 +183,32 @@ def forward_cached(
     ids = np.asarray(ids, dtype=np.intp)
     B, s = ids.shape
     t = 0 if cache is None else cache[0][0].shape[1]
-    if s == 0:
-        raise LengthError("empty input sequence")
-    if t + s > config.max_positions:
-        raise LengthError(f"sequence length {t + s} exceeds max_positions {config.max_positions}")
+    _check_length(s, t + s, config)
     w = {k: v.data for k, v in params.items()}
-    H, nh = config.hidden, config.heads
-    dh = H // nh
-    att_scale = 1.0 / float(np.sqrt(dh))
+    H = config.hidden
+    mask = _causal_mask(config, w["tok_emb"].dtype)[t : t + s, : t + s]
 
     # rows are (batch, position) pairs, flattened for the projections
     h = (w["tok_emb"][ids] + w["pos_emb"][t : t + s]).reshape(B * s, H)
-    mask = np.triu(np.full((s, t + s), -np.inf, dtype=h.dtype), k=t + 1)
     new_cache: KvCache = []
     for b in range(config.layers):
         p = f"h{b}."
-        a = _ln_array(h, w[p + "ln1.g"], w[p + "ln1.b"])
-        q = a @ w[p + "attn.wq"] + w[p + "attn.bq"]
+        a = T.layer_norm_array(h, w[p + "ln1.g"], w[p + "ln1.b"], LN_EPS)[0]
+        q = (a @ w[p + "attn.wq"] + w[p + "attn.bq"]).reshape(B, s, H)
         k = (a @ w[p + "attn.wk"] + w[p + "attn.bk"]).reshape(B, s, H)
         v = (a @ w[p + "attn.wv"] + w[p + "attn.bv"]).reshape(B, s, H)
         if cache is not None:
             k = np.concatenate([cache[b][0], k], axis=1)
             v = np.concatenate([cache[b][1], v], axis=1)
         new_cache.append((k, v))
-        qh = q.reshape(B, s, nh, dh).transpose(0, 2, 1, 3)
-        kh = k.reshape(B, t + s, nh, dh).transpose(0, 2, 3, 1)
-        vh = v.reshape(B, t + s, nh, dh).transpose(0, 2, 1, 3)
-        scores = (qh @ kh) * att_scale + mask
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        att = e / e.sum(axis=-1, keepdims=True)
-        o = (att @ vh).transpose(0, 2, 1, 3).reshape(B * s, H)
+        o = T.attention_array(q, k, v, config.heads, mask)[0].reshape(B * s, H)
         h = h + (o @ w[p + "attn.wo"] + w[p + "attn.bo"])
 
-        m = _ln_array(h, w[p + "ln2.g"], w[p + "ln2.b"])
+        m = T.layer_norm_array(h, w[p + "ln2.g"], w[p + "ln2.b"], LN_EPS)[0]
         m = T.gelu_tanh(m @ w[p + "mlp.w1"] + w[p + "mlp.b1"])[0]
         h = h + (m @ w[p + "mlp.w2"] + w[p + "mlp.b2"])
 
-    hf = _ln_array(h, w["ln_f.g"], w["ln_f.b"])
+    hf = T.layer_norm_array(h, w["ln_f.g"], w["ln_f.b"], LN_EPS)[0]
     proj = w["tok_emb"] if config.tie_output_to_embedding else w["out_proj"]
     logits = hf @ proj.T
     return logits.reshape(B, s, -1), hf.reshape(B, s, H), new_cache
@@ -265,6 +241,43 @@ def make_train_seq(prompt_ids: list[int], target_ids: list[int]) -> TrainSeq:
     return TrainSeq(ids=ids, start=len(prompt_ids), end=len(ids))
 
 
+def pad_batch(seqs: Sequence[TrainSeq]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Model inputs, next-token targets and loss mask of the sequences,
+    right-padded with id 0 into (B, T) arrays, T the longest input.
+
+    Row p of a sequence's logits predicts token p+1, so its span
+    [start, end) over tokens maps to positions [start-1, end-1) of the
+    mask. Padding is masked out, and under the causal mask it never
+    reaches a real position.
+    """
+    width = max(len(seq.ids) for seq in seqs) - 1
+    inputs = np.zeros((len(seqs), width), dtype=np.intp)
+    targets = np.zeros((len(seqs), width), dtype=np.intp)
+    mask = np.zeros((len(seqs), width), dtype=bool)
+    for i, seq in enumerate(seqs):
+        n = len(seq.ids) - 1
+        inputs[i, :n] = seq.ids[:-1]
+        targets[i, :n] = seq.ids[1:]
+        mask[i, seq.start - 1 : seq.end - 1] = True
+    return inputs, targets, mask
+
+
+def sequence_nll(
+    params: dict[str, Tensor],
+    config: LmConfig,
+    seqs: Sequence[TrainSeq],
+    *,
+    train: bool = False,
+    rng: np.random.Generator | None = None,
+    reduction: str = "mean",
+) -> Tensor:
+    """Each sequence's mean (or summed) NLL of its target span, shape
+    (len(seqs),), from one forward over the right-padded batch."""
+    inputs, targets, mask = pad_batch(seqs)
+    logits = forward(params, config, inputs, train=train, rng=rng)
+    return T.cross_entropy_masked(logits, targets, mask, reduction=reduction)
+
+
 def masked_nll(
     params: dict[str, Tensor],
     config: LmConfig,
@@ -274,17 +287,9 @@ def masked_nll(
     rng: np.random.Generator | None = None,
     reduction: str = "mean",
 ) -> Tensor:
-    """Mean (or summed) NLL of the sequence's target span.
-
-    Row p of the logits predicts token p+1, so the span [start, end)
-    over tokens maps to rows [start-1, end-1) over logits.
-    """
-    inputs = seq.ids[:-1]
-    targets = seq.ids[1:]
-    logits = forward(params, config, inputs, train=train, rng=rng)
-    mask = np.zeros(len(targets), dtype=bool)
-    mask[seq.start - 1 : seq.end - 1] = True
-    return T.cross_entropy_masked(logits, targets, mask, reduction=reduction)
+    """Mean (or summed) NLL of one sequence's target span: the one-row
+    batch of :func:`sequence_nll`, as a scalar."""
+    return T.tsum(sequence_nll(params, config, [seq], train=train, rng=rng, reduction=reduction))
 
 
 Term = tuple[int, TrainSeq]  # (model index, sequence) of one loss term
@@ -317,22 +322,29 @@ def item_loss(
     *,
     train: bool = False,
     rng: np.random.Generator | None = None,
-) -> tuple[Tensor, list[tuple[Tensor, int]]]:
-    """The summed masked NLL of one item's terms, and each term's
-    (loss, target token count), computed in term order.
+) -> tuple[Tensor, list[float]]:
+    """The summed masked NLL of the terms (one item's, or a whole batch's),
+    and each term's mean NLL, in term order.
 
-    A term reads only its own model's parameters, so models' graphs are
-    disjoint and backpropagating the sum gives each model the gradient of
-    its own terms alone.
+    Each model runs one forward over its terms' sequences, right-padded
+    into one batch, in model order. A term reads only its own model's
+    parameters, so models' graphs are disjoint and backpropagating the
+    sum gives each model the gradient of its own terms alone.
     """
-    parts = [
-        (masked_nll(*models[m], seq, train=train, rng=rng), seq.n_target_tokens)
-        for m, seq in terms
-    ]
-    total = parts[0][0]
-    for loss, _ in parts[1:]:
-        total = T.add(total, loss)
-    return total, parts
+    losses = [0.0] * len(terms)
+    total = None
+    for m, (params, config) in enumerate(models):
+        rows = [i for i, (k, _) in enumerate(terms) if k == m]
+        if not rows:
+            continue
+        nll = sequence_nll(params, config, [terms[i][1] for i in rows], train=train, rng=rng)
+        for i, value in zip(rows, nll.data.tolist()):
+            losses[i] = value
+        part = T.tsum(nll)
+        total = part if total is None else T.add(total, part)
+    if total is None:
+        raise ValueError("item_loss needs at least one term")
+    return total, losses
 
 
 @dataclass
@@ -361,9 +373,14 @@ def save_model(directory, lm: Lm, name: str = "model") -> None:
 
 
 def load_model(directory, name: str = "model") -> Lm:
-    directory = Path(directory)
-    sidecar = json.loads((directory / f"{name}.json").read_text())
-    config = LmConfig.from_json(sidecar["config"])
-    arrays, meta = load_arrays(directory / f"{name}.ckpt")
+    path = Path(directory) / f"{name}.json"
+    if not path.exists():
+        raise MissingInputError(f"input not found: {path}")
+    try:
+        sidecar = json.loads(path.read_text())
+        config = LmConfig.from_json(sidecar["config"])
+    except (ValueError, TypeError, KeyError, ConfigError) as e:
+        raise SchemaError(f"{path}: malformed model sidecar ({type(e).__name__}: {e})") from e
+    arrays, meta = load_arrays(Path(directory) / f"{name}.ckpt")
     params = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
     return Lm(params=params, config=config, role=sidecar.get("model_role", meta.get("model_role", "sentence")))

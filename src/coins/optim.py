@@ -47,8 +47,9 @@ def clip_grads(params: dict[str, Tensor], max_norm: float) -> float:
     return norm
 
 
-def adam_update(params: dict[str, Tensor], state: AdamState, grad_clip: float | None = None) -> None:
+def adam_update(params: dict[str, Tensor], state: AdamState, grad_clip: float | None = None) -> float:
     """One Adam step over every parameter; missing grads count as zero.
+    Returns the global gradient norm before clipping.
 
     m_t = b1 m + (1-b1) g; v_t = b2 v + (1-b2) g^2; the bias-corrected
     moments drive w -= lr * m_hat / (sqrt(v_hat) + eps). Deterministic
@@ -57,8 +58,7 @@ def adam_update(params: dict[str, Tensor], state: AdamState, grad_clip: float | 
     for name, p in params.items():
         if p.grad is not None and not np.isfinite(p.grad).all():
             raise GradientError(f"non-finite gradient in parameter {name!r}")
-    if grad_clip is not None:
-        clip_grads(params, grad_clip)
+    norm = global_grad_norm(params) if grad_clip is None else clip_grads(params, grad_clip)
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1**t
@@ -78,3 +78,4 @@ def adam_update(params: dict[str, Tensor], state: AdamState, grad_clip: float | 
         m_hat = m / p.data.dtype.type(bc1)
         v_hat = v / p.data.dtype.type(bc2)
         p.data = p.data - p.data.dtype.type(state.lr) * m_hat / (np.sqrt(v_hat) + p.data.dtype.type(state.eps))
+    return norm

@@ -56,7 +56,7 @@ class Tensor:
         if isinstance(data, Tensor):
             raise TypeError("wrap ndarrays or scalars, not Tensors")
         arr = np.asarray(data, dtype=dtype)
-        if not np.issubdtype(arr.dtype, np.floating):
+        if arr.dtype.kind != "f":
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -130,25 +130,30 @@ class Tape:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every requires_grad node reachable from ``loss``.
+    """Populate ``grad`` on every requires_grad leaf reachable from ``loss``.
 
-    Repeated calls accumulate into existing ``grad`` buffers.
+    Repeated calls accumulate into existing ``grad`` buffers. A graph is
+    walked once: each op node drops its parents and backward closure as
+    soon as it has passed its gradient on, so the activations it held are
+    freed during the walk, not after it.
     """
     if loss.data.shape != ():
         raise GraphError(f"backward needs a scalar root, got shape {loss.data.shape}")
     if not loss.requires_grad:
         return
-    tape = Tape(loss)
+    nodes = Tape(loss).nodes
     adjoint: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.dtype)}
-    for node in reversed(tape.nodes):
+    while nodes:
+        node = nodes.pop()
+        parents, back = node._parents, node._backward
+        node._parents, node._backward = (), None
         g = adjoint.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
+        if back is None:
             node.grad = g if node.grad is None else node.grad + g
-        if node._backward is None:
             continue
-        for parent, pg in zip(node._parents, node._backward(g)):
+        for parent, pg in zip(parents, back(g)):
             if pg is None or not parent.requires_grad:
                 continue
             prev = adjoint.get(id(parent))
@@ -186,15 +191,24 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _node(a.data * s, (a,), back)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``a`` (..., K) times the matrix ``b`` (K, N), plus ``bias`` (N,) when
+    given: the leading axes of ``a`` are flattened into the rows of one
+    2-D product."""
+    if a.data.ndim < 2 or b.data.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
-    data = a.data @ b.data
+    rows = a.data.reshape(-1, b.shape[0])
+    out = rows @ b.data
+    if bias is not None:
+        out += bias.data
 
     def back(g):
-        return g @ b.data.T, a.data.T @ g
+        g2 = g.reshape(-1, b.shape[1])
+        grads = (g2 @ b.data.T).reshape(a.shape), rows.T @ g2
+        return grads if bias is None else (*grads, g2.sum(axis=0))
 
-    return _node(data, (a, b), back)
+    parents = (a, b) if bias is None else (a, b, bias)
+    return _node(out.reshape(*a.shape[:-1], b.shape[1]), parents, back)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -236,16 +250,15 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
+    """Rows of the (N, H) ``table`` for integer ``ids`` of any shape."""
     ids = np.asarray(ids, dtype=np.intp)
-    if ids.ndim != 1:
-        raise ShapeError(f"embedding ids must be 1-D, got shape {ids.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise ShapeError(f"embedding id out of range for table {table.shape}")
     data = table.data[ids]
 
     def back(g):
         full = np.zeros(table.shape, dtype=g.dtype)
-        np.add.at(full, ids, g)
+        np.add.at(full, ids.ravel(), g.reshape(-1, table.shape[1]))
         return (full,)
 
     return _node(data, (table,), back)
@@ -264,20 +277,35 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _node(y, (a,), back)
 
 
-def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance (no affine)."""
-    x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (x - mu) * inv
+def layer_norm_array(x: np.ndarray, gain=None, bias=None, eps: float = 1e-5):
+    """Normalize the last axis of ``x`` to zero mean and unit variance, then
+    scale by ``gain`` and shift by ``bias`` when they are given. Returns the
+    output, the normalized input and 1/std; the backward reuses the last two."""
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
+    return (xhat if gain is None else xhat * gain + bias), xhat, inv
+
+
+def layer_norm(a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None,
+               eps: float = 1e-5) -> Tensor:
+    """Layer norm over the last axis, affine when ``gain`` and ``bias`` (H,)
+    are given."""
+    affine = gain is not None
+    y, xhat, inv = layer_norm_array(a.data, gain.data if affine else None,
+                                    bias.data if affine else None, eps)
 
     def back(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gym = (g * y).mean(axis=-1, keepdims=True)
-        return (inv * (g - gm - y * gym),)
+        gx = g * gain.data if affine else g
+        gm = gx.mean(axis=-1, keepdims=True)
+        gym = (gx * xhat).mean(axis=-1, keepdims=True)
+        dx = inv * (gx - gm - xhat * gym)
+        if not affine:
+            return (dx,)
+        rows = g.reshape(-1, g.shape[-1])
+        return dx, (rows * xhat.reshape(rows.shape)).sum(axis=0), rows.sum(axis=0)
 
-    return _node(y, (a,), back)
+    return _node(y, (a, gain, bias) if affine else (a,), back)
 
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
@@ -299,8 +327,8 @@ def gelu(a: Tensor) -> Tensor:
     y, t = gelu_tanh(x)
 
     def back(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
-        dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du
+        du = _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
+        dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
         return (g * dy,)
 
     return _node(y, (a,), back)
@@ -311,14 +339,80 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator | None, train: bool = 
         raise ValueError(f"dropout p must be in [0, 1), got {p}")
     if not train or p == 0.0:
         return a
-    if rng is None:
-        raise ValueError("dropout with p > 0 needs an rng for reproducibility")
-    keep = (rng.random(a.shape) >= p).astype(a.dtype) / (1.0 - p)
+    keep = _keep_mask(a.shape, p, rng, a.dtype)
 
     def back(g):
         return (g * keep,)
 
     return _node(a.data * keep, (a,), back)
+
+
+def _keep_mask(shape, p: float, rng: np.random.Generator | None, dtype) -> np.ndarray:
+    """Inverted-dropout multipliers: 0 with probability p, else 1/(1-p)."""
+    if rng is None:
+        raise ValueError("dropout with p > 0 needs an rng for reproducibility")
+    return (rng.random(shape, dtype=np.float32) >= p).astype(dtype) / (1.0 - p)
+
+
+def attention_array(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, mask: np.ndarray,
+                    keep: np.ndarray | None = None):
+    """Multi-head scaled dot-product attention in plain numpy.
+
+    Queries ``q`` (B, s, H) attend over keys and values ``k``, ``v``
+    (B, t, H), split into ``heads`` heads of H/heads features. ``mask``
+    (s, t) is added to the scores (0 or -inf). ``keep``, when given,
+    multiplies the softmax weights (B, heads, s, t): dropout. Returns the
+    output (B, s, H) and, for the backward, the softmax weights and the
+    per-head queries, transposed keys and values.
+    """
+    B, s, H = q.shape
+    t = k.shape[1]
+    dh = H // heads
+    qh = q.reshape(B, s, heads, dh).transpose(0, 2, 1, 3)
+    kt = k.reshape(B, t, heads, dh).transpose(0, 2, 3, 1)
+    vh = v.reshape(B, t, heads, dh).transpose(0, 2, 1, 3)
+    scores = (qh @ kt) * (1.0 / float(np.sqrt(dh))) + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    att = e / e.sum(axis=-1, keepdims=True)
+    weights = att if keep is None else att * keep
+    out = (weights @ vh).transpose(0, 2, 1, 3).reshape(B, s, H)
+    return out, (att, qh, kt, vh)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray, p: float = 0.0,
+              rng: np.random.Generator | None = None, train: bool = True) -> Tensor:
+    """Multi-head self-attention of (..., T, H) queries, keys and values as
+    one node: scale, additive ``mask`` (T, T), softmax and dropout ``p`` on
+    the weights. The backward is the closed-form softmax-attention
+    gradient."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout p must be in [0, 1), got {p}")
+    shape = q.shape
+    t, H = shape[-2], shape[-1]
+    q3, k3, v3 = (x.data.reshape(-1, t, H) for x in (q, k, v))
+    B, dh = q3.shape[0], H // heads
+    keep = _keep_mask((B, heads, t, t), p, rng, q.dtype) if train and p > 0.0 else None
+    out, (att, qh, kt, vh) = attention_array(q3, k3, v3, heads, mask, keep)
+    att_scale = 1.0 / float(np.sqrt(dh))
+
+    def merge(x):
+        return x.transpose(0, 2, 1, 3).reshape(shape)
+
+    def back(g):
+        g4 = g.reshape(B, t, heads, dh)
+        go = g4.transpose(0, 2, 1, 3)
+        dweights = go @ vh.transpose(0, 1, 3, 2)
+        weights = att if keep is None else att * keep  # recomputed, not held
+        dv = weights.transpose(0, 1, 3, 2) @ go
+        # the softmax backward's row sum of dweights * weights is go . out, per head
+        rowdot = (g4 * out.reshape(B, t, heads, dh)).sum(axis=-1).transpose(0, 2, 1)[..., None]
+        datt = dweights if keep is None else dweights * keep
+        ds = att * (datt - rowdot) * att_scale
+        dq = ds @ kt.transpose(0, 1, 3, 2)
+        dk = ds.transpose(0, 1, 3, 2) @ qh
+        return merge(dq), merge(dk), merge(dv)
+
+    return _node(out.reshape(shape), (q, k, v), back)
 
 
 def tsum(a: Tensor) -> Tensor:
@@ -345,40 +439,41 @@ def log_softmax_rows(x: np.ndarray) -> np.ndarray:
 
 
 def cross_entropy_masked(logits: Tensor, targets, loss_mask, reduction: str = "mean") -> Tensor:
-    """Masked negative log-likelihood of ``targets`` under row softmaxes.
+    """Masked negative log-likelihood of ``targets`` under row softmaxes,
+    one value per sequence.
 
-    ``logits`` is (T, V); ``targets`` length-T int ids; ``loss_mask``
-    length-T booleans selecting the positions that contribute. The
-    default reduces by mean over masked-in positions; ``reduction="sum"``
-    leaves the raw sum. An all-false mask yields 0 with a warning.
+    ``logits`` is (..., T, V): one sequence (T, V) or a batch (B, T, V).
+    ``targets`` (int ids) and ``loss_mask`` (booleans selecting the
+    positions that contribute) have shape (..., T). Each sequence's NLL is
+    reduced over its masked-in positions by mean (the default) or sum
+    (``reduction="sum"``), giving shape (...): a scalar for one sequence.
+    A sequence with an all-false mask has loss 0, with a warning. Only
+    masked-in rows go through the softmax.
     """
     if reduction not in ("mean", "sum"):
         raise ValueError(f"unknown reduction {reduction!r}")
     targets = np.asarray(targets, dtype=np.intp)
     mask = np.asarray(loss_mask, dtype=bool)
-    T, V = logits.shape
-    if targets.shape != (T,) or mask.shape != (T,):
-        raise ShapeError(
-            f"targets/mask must be length {T}, got {targets.shape} and {mask.shape}"
-        )
-    count = int(mask.sum())
-    if count == 0:
-        warnings.warn("cross_entropy_masked: empty mask, loss defined as 0", stacklevel=2)
-        return Tensor(np.zeros((), dtype=logits.dtype))
-
     x = logits.data
-    lp = log_softmax_rows(x)
-    nll = -lp[np.arange(T), targets]
-    total = nll[mask].sum()
-    value = total / count if reduction == "mean" else total
+    if x.ndim < 2 or targets.shape != x.shape[:-1] or mask.shape != x.shape[:-1]:
+        raise ShapeError(
+            f"targets/mask must have shape {x.shape[:-1]}, got {targets.shape} and {mask.shape}"
+        )
+    count = mask.sum(axis=-1)
+    if not np.all(count):
+        warnings.warn("cross_entropy_masked: empty mask, loss defined as 0", stacklevel=2)
+    lp = log_softmax_rows(x[mask])
+    picked = (np.arange(len(lp)), targets[mask])
+    nll = np.zeros(mask.shape, dtype=x.dtype)
+    nll[mask] = -lp[picked]
+    denom = np.maximum(count, 1).astype(x.dtype) if reduction == "mean" else x.dtype.type(1)
 
     def back(g):
-        p = np.exp(lp)
-        d = p.copy()
-        d[np.arange(T), targets] -= 1.0
-        d[~mask] = 0.0
-        if reduction == "mean":
-            d /= count
-        return (d * g,)
+        d = np.exp(lp)
+        d[picked] -= 1.0
+        d *= np.broadcast_to((g / denom)[..., None], mask.shape)[mask][:, None]
+        full = np.zeros(x.shape, dtype=x.dtype)
+        full[mask] = d
+        return (full,)
 
-    return _node(np.asarray(value, dtype=logits.dtype), (logits,), back)
+    return _node(nll.sum(axis=-1) / denom, (logits,), back)

@@ -39,7 +39,7 @@ from .data.types import (
     teacher_state,
 )
 from .errors import ConfigError, SchemaError
-from .model import JointItem, LmConfig, Term, TrainSeq, item_loss, make_train_seq, masked_nll
+from .model import JointItem, LmConfig, Term, TrainSeq, item_loss, make_train_seq, sequence_nll
 from .optim import AdamState, adam_update, zero_grads
 from .tensor import Tensor
 from .vocab import Vocab, encode
@@ -265,6 +265,10 @@ def build_seg_items(
 class TrainHistory:
     epoch_loss: list[float] = field(default_factory=list)
     epoch_nll: list[float] = field(default_factory=list)  # per-token, target spans only
+    # per epoch, one value per model: the mean global gradient norm before
+    # clipping, and the share of steps whose gradient was clipped
+    grad_norm: list[list[float]] = field(default_factory=list)
+    clip_rate: list[list[float]] = field(default_factory=list)
     steps: int = 0
     stopped_early: bool = False
 
@@ -277,6 +281,24 @@ def check_lengths(seqs: Iterable[TrainSeq], config: LmConfig) -> None:
         raise ConfigError(f"training sequence length {longest} exceeds max_positions {config.max_positions}")
 
 
+CHUNK_POSITIONS = 256  # padded positions per forward in training and evaluation
+
+
+def _chunks(terms: list[Term]) -> list[list[Term]]:
+    """Terms split into padded forwards of one model each, longest sequence
+    first, of at most CHUNK_POSITIONS padded positions (or one sequence):
+    this bounds the activations held at once."""
+    chunks: list[list[Term]] = []
+    for term in sorted(terms, key=lambda term: (term[0], -len(term[1].ids))):
+        head = chunks[-1][0] if chunks else None
+        width = 0 if head is None else len(head[1].ids) - 1
+        if head and head[0] == term[0] and (len(chunks[-1]) + 1) * width <= CHUNK_POSITIONS:
+            chunks[-1].append(term)
+        else:
+            chunks.append([term])
+    return chunks
+
+
 def train_models(
     models: Sequence[tuple[dict[str, Tensor], LmConfig]],
     items: list[list[Term]],
@@ -285,11 +307,13 @@ def train_models(
 ) -> TrainHistory:
     """The training loop: N models, one Adam optimizer each.
 
-    Each item lists its (model index, sequence) loss terms, added by
-    :func:`item_loss`. A step is one Adam update of every model, in list
-    order, over a batch of items. ``refresh_items(epoch)``, when given,
-    rebuilds the item list at the start of every epoch (used to condition
-    the sentence model on the rule model's current decodes).
+    Each item lists its (model index, sequence) loss terms. A step takes a
+    batch of items, runs :func:`item_loss` over their terms in padded
+    chunks of one model each, backpropagates each chunk's summed loss
+    scaled by 1/batch_size, and makes one Adam update of every model, in
+    list order. ``refresh_items(epoch)``, when given, rebuilds the item
+    list at the start of every epoch (used to condition the sentence
+    model on the rule model's current decodes).
     """
     if not items and refresh_items is None:
         raise ConfigError("no training items")
@@ -303,26 +327,28 @@ def train_models(
                 raise ConfigError("refresh_items produced no training items")
         order = rng.permutation(len(items))
         total_loss, total_nll, total_tok = 0.0, 0.0, 0
-        batch = 0
+        norms: list[list[float]] = [[] for _ in models]
         for params, _ in models:
             zero_grads(params)
-        for j, idx in enumerate(order):
-            total, parts = item_loss(models, items[int(idx)], train=True, rng=rng)
-            T.backward(T.scale(total, 1.0 / tcfg.batch_size))
-            total_loss += total.item()
-            total_nll += sum(p.item() * n for p, n in parts)
-            total_tok += sum(n for _, n in parts)
-            batch += 1
-            if batch == tcfg.batch_size or j == len(order) - 1:
-                for (params, _), opt in zip(models, opts):
-                    adam_update(params, opt, grad_clip=tcfg.grad_clip)
-                    zero_grads(params)
-                batch = 0
-                hist.steps += 1
-                if tcfg.max_steps is not None and hist.steps >= tcfg.max_steps:
-                    break
+        for start in range(0, len(order), tcfg.batch_size):
+            terms = [term for idx in order[start : start + tcfg.batch_size] for term in items[int(idx)]]
+            for chunk in _chunks(terms):
+                total, losses = item_loss(models, chunk, train=True, rng=rng)
+                T.backward(T.scale(total, 1.0 / tcfg.batch_size))
+                total_loss += total.item()
+                total_nll += sum(loss * seq.n_target_tokens for loss, (_, seq) in zip(losses, chunk))
+            total_tok += sum(seq.n_target_tokens for _, seq in terms)
+            for (params, _), opt, seen in zip(models, opts, norms):
+                seen.append(adam_update(params, opt, grad_clip=tcfg.grad_clip))
+                zero_grads(params)
+            hist.steps += 1
+            if tcfg.max_steps is not None and hist.steps >= tcfg.max_steps:
+                break
         hist.epoch_loss.append(total_loss / len(order))
         hist.epoch_nll.append(total_nll / max(1, total_tok))
+        hist.grad_norm.append([float(np.mean(seen)) for seen in norms])
+        clip = np.inf if tcfg.grad_clip is None else tcfg.grad_clip
+        hist.clip_rate.append([float(np.mean([n > clip for n in seen])) for seen in norms])
         log.info(
             "epoch %d: loss %.4f nll/tok %.4f (%d steps)",
             epoch + 1,
@@ -339,15 +365,16 @@ def train_models(
 
 
 def corpus_nll(params: dict[str, Tensor], config: LmConfig, seqs: list[TrainSeq]) -> float:
-    """Mean per-target-token NLL with dropout off (evaluation mode); its
-    exp is the corpus perplexity."""
+    """Mean per-target-token NLL with dropout off (evaluation mode), from
+    padded forwards as in training; its exp is the corpus perplexity."""
     if not seqs:
         raise ValueError("corpus_nll needs a non-empty corpus")
-    total, count = 0.0, 0
-    with T.no_grad():
-        for seq in seqs:
-            total += masked_nll(params, config, seq, reduction="sum").item()
-            count += seq.n_target_tokens
+    count = sum(seq.n_target_tokens for seq in seqs)
     if count == 0:
         raise ValueError("corpus_nll: no target tokens in corpus")
+    total = 0.0
+    with T.no_grad():
+        for chunk in _chunks([(0, seq) for seq in seqs]):
+            nll = sequence_nll(params, config, [seq for _, seq in chunk], reduction="sum")
+            total += sum(nll.data.tolist())
     return total / count

@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 
 import pytest
 from click.testing import CliRunner
@@ -334,3 +335,77 @@ def test_silver_dynamic_rules_without_glucose_leaves_no_run_dir(pipeline, tmp_pa
     assert r.exit_code == 5, r.output
     assert "--glucose" in r.output
     assert not (tmp_path / "dyn" / "run_config.json").exists()
+
+
+def copy_models(root, dst, skip=()):
+    dst.mkdir()
+    for f in (root / "models").iterdir():
+        if f.name not in skip:
+            shutil.copy(f, dst / f.name)
+    return dst
+
+
+@pytest.mark.parametrize("mode", ["full", "ir_only", "ir_wo_se", "seg"])
+def test_complete_without_rule_model_leaves_no_run_dir(pipeline, tmp_path, mode):
+    root, runner, _ = pipeline
+    models = copy_models(root, tmp_path / "models", skip=("csi.ckpt", "csi.json"))
+    corpus = ["--seg", root / "seg/seg.jsonl"] if mode == "seg" else ["--nsc", root / "nsc/nsc.jsonl"]
+    r = invoke(runner, "complete", *corpus, "--models", models, "--mode", mode, "--beam", 1,
+               "--out", tmp_path / "run")
+    assert r.exit_code == 4, r.output
+    assert not (tmp_path / "run" / "run_config.json").exists()
+    assert "csi.ckpt" in r.output
+
+
+@pytest.mark.parametrize("damage", ["truncated-ckpt", "trailing-bytes", "sidecar-json",
+                                    "sidecar-no-config"])
+def test_damaged_checkpoint_is_schema_error(pipeline, tmp_path, damage):
+    root, runner, _ = pipeline
+    models = copy_models(root, tmp_path / "models")
+    ckpt, sidecar = models / "sentence.ckpt", models / "sentence.json"
+    if damage == "truncated-ckpt":
+        ckpt.write_bytes(ckpt.read_bytes()[:-7])
+    elif damage == "trailing-bytes":
+        ckpt.write_bytes(ckpt.read_bytes() + b"\0\0\0\0")
+    elif damage == "sidecar-json":
+        sidecar.write_text(sidecar.read_text()[:-10])
+    else:
+        sidecar.write_text(json.dumps({"model_role": "sentence"}))
+    r = invoke(runner, "complete", "--nsc", root / "nsc/nsc.jsonl", "--models", models,
+               "--mode", "full", "--beam", 1, "--out", tmp_path / "run")
+    assert r.exit_code == 4, r.output
+    assert "error:" in r.output and "sentence." in r.output
+    assert not (tmp_path / "run" / "run_config.json").exists()
+
+
+def test_dynamic_rules_overlong_decodes_are_config_errors(pipeline, tmp_path):
+    # max_positions fits every gold sequence exactly; the untrained rule
+    # model's decodes make the rebuilt sentence inputs longer than that
+    from coins.data.corpus import read_glucose, read_nsc
+    from coins.data.types import Flavor
+    from coins.train import build_joint_items
+    from coins.vocab import Vocab
+
+    root, runner, _ = pipeline
+    items = build_joint_items(read_nsc(root / "nsc/nsc.jsonl"), Vocab.load(root / "vocab/vocab.json"),
+                              Flavor.GENERAL, read_glucose(root / "corpus/glucose.jsonl"))
+    longest = max(len(seq.ids) - 1 for item in items for _, seq in item.terms)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"max_positions": longest, "dropout_p": 0.0},
+                               "train": {"epochs": 1}}))
+    r = invoke(runner, "train-coins", "--nsc", root / "nsc/nsc.jsonl",
+               "--glucose", root / "corpus/glucose.jsonl", "--vocab", root / "vocab/vocab.json",
+               "--config", cfg, "--dynamic-rules", "--out", tmp_path / "dyn")
+    assert r.exit_code == 5, r.output
+    assert re.search(rf"length \d+ exceeds max_positions {longest}", r.output), r.output
+
+
+def test_history_records_grad_norm_and_clip_rate(pipeline):
+    root, _, _ = pipeline
+    history = json.loads((root / "models/history.json").read_text())
+    epochs = len(history["epoch_nll"])
+    assert len(history["grad_norm"]) == len(history["clip_rate"]) == epochs > 0
+    for norms, rates in zip(history["grad_norm"], history["clip_rate"]):
+        assert len(norms) == len(rates) == 2  # sentence model, rule model
+        assert all(n > 0 for n in norms) and all(0.0 <= r <= 1.0 for r in rates)
+    assert history["clip_rate"][0] == [1.0, 1.0]  # a fresh model's first steps are clipped

@@ -6,7 +6,7 @@ from coins.checkpoint import load_arrays, save_arrays
 from coins.data import synthetic
 from coins.data.corpus import build_nsc_corpus
 from coins.data.types import Flavor
-from coins.errors import ConfigError
+from coins.errors import ConfigError, SchemaError
 from coins.model import (
     JointItem,
     LengthError,
@@ -20,9 +20,11 @@ from coins.model import (
     load_model,
     make_train_seq,
     masked_nll,
+    pad_batch,
     save_model,
+    sequence_nll,
 )
-from coins.optim import AdamState, GradientError, adam_update, zero_grads
+from coins.optim import AdamState, GradientError, adam_update, clip_grads, global_grad_norm, zero_grads
 from coins.tensor import Tensor
 from coins.train import TrainConfig, build_baseline_seqs, build_sentence_seq, corpus_nll, train_models
 from coins.vocab import encode, train_vocab
@@ -159,6 +161,24 @@ def test_cached_batched_step_equals_rows_one_at_a_time(dtype, tol):
         np.testing.assert_allclose(batched[i], row[0], rtol=0, atol=tol)
 
 
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-10)])
+def test_cached_forward_matches_batched_forward_on_padded_batch(dtype, tol):
+    params, cfg = toy_model(seed=8, dtype=dtype)
+    rng = np.random.default_rng(14)
+    seqs = [TrainSeq(ids=rng.integers(0, cfg.vocab, size=n), start=1, end=n) for n in (9, 24, 16)]
+    inputs, _, _ = pad_batch(seqs)
+    assert inputs.shape == (3, 23)
+    with T.no_grad():
+        want = forward(params, cfg, inputs).data
+    got, _, _ = forward_cached(params, cfg, inputs)
+    assert want.shape == got.shape == (3, 23, cfg.vocab)
+    np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+    for i, seq in enumerate(seqs):  # padding never reaches a real position
+        with T.no_grad():
+            alone = forward(params, cfg, seq.ids[:-1]).data
+        np.testing.assert_allclose(want[i, : len(alone)], alone, rtol=0, atol=tol)
+
+
 def test_cached_forward_rejects_overlong_input():
     params, cfg = toy_model()
     with pytest.raises(LengthError):
@@ -205,6 +225,27 @@ def test_csi_loss_is_sum_of_masked_nlls():
     assert total == pytest.approx(parts, abs=1e-7)
 
 
+@pytest.mark.filterwarnings("ignore:cross_entropy_masked")
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+def test_padded_batch_matches_sequences_one_at_a_time(dtype, tol):
+    # unequal lengths, and two empty target spans that contribute 0
+    params, cfg = toy_model(vocab_size=30, seed=7, dtype=dtype)
+    rng = np.random.default_rng(13)
+    spans = [(12, 5, 12), (7, 3, 7), (20, 9, 20), (9, 4, 4), (15, 15, 15), (18, 2, 11)]
+    seqs = [TrainSeq(ids=rng.integers(0, 30, size=n), start=s, end=e) for n, s, e in spans]
+    batched = sequence_nll(params, cfg, seqs)
+    T.backward(T.tsum(batched))
+    grads = {k: p.grad.copy() for k, p in params.items()}
+    zero_grads(params)
+    for i, seq in enumerate(seqs):
+        one = masked_nll(params, cfg, seq)
+        assert abs(batched.data[i] - one.item()) <= tol
+        T.backward(one)
+    assert batched.data[3] == batched.data[4] == 0.0
+    for k, p in params.items():
+        np.testing.assert_allclose(grads[k], p.grad, rtol=0, atol=tol, err_msg=k)
+
+
 def test_losses_finite_for_random_weights():
     params, cfg = toy_model(vocab_size=30, seed=11)
     rng = np.random.default_rng(4)
@@ -225,7 +266,7 @@ def test_joint_step_additivity_and_disjoint_grads():
     models = [(theta, cfg), (beta, cfg)]
     total, parts = item_loss(models, item.terms)
     T.backward(total)
-    assert total.item() == pytest.approx(sum(loss.item() for loss, _ in parts), abs=1e-6)
+    assert total.item() == pytest.approx(sum(parts), abs=1e-6)
     theta_grads = {k: v.grad.copy() for k, v in theta.items()}
     beta_grads = {k: v.grad.copy() for k, v in beta.items()}
 
@@ -268,6 +309,16 @@ def test_adam_zero_grad_leaves_weights():
     assert state.step == 1
     for k in params:
         assert np.array_equal(params[k].data, before[k])
+
+
+def test_adam_returns_the_gradient_norm_before_clipping():
+    params, cfg = toy_model(vocab_size=30, seed=3)
+    seq = TrainSeq(ids=np.arange(12) % 30, start=4, end=12)
+    T.backward(masked_nll(params, cfg, seq))
+    want = global_grad_norm(params)
+    assert want > 0.01
+    assert adam_update(params, AdamState(), grad_clip=0.01) == want
+    assert adam_update(params, AdamState(), grad_clip=None) == pytest.approx(0.01, rel=1e-5)
 
 
 def test_adam_rejects_nan_grad_naming_parameter():
@@ -451,6 +502,26 @@ def test_model_save_load_round_trip(tmp_path):
     assert back.role == "csi_gen" and back.config == cfg
     for k in params:
         assert np.array_equal(back.params[k].data, params[k].data)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "trailing"])
+def test_checkpoint_size_mismatch_is_schema_error(tmp_path, damage):
+    p = tmp_path / "x.ckpt"
+    save_arrays(p, {"a": np.ones((3, 4), dtype=np.float32)})
+    raw = p.read_bytes()
+    p.write_bytes(raw[:-7] if damage == "truncated" else raw + b"\0\0\0\0")
+    with pytest.raises(SchemaError, match="bytes"):
+        load_arrays(p)
+
+
+@pytest.mark.parametrize("sidecar", ['{"config": {"vocab": 20', '{"model_role": "sentence"}',
+                                     '{"config": {"vocab": 20, "depth": 3}}', "[]"])
+def test_malformed_sidecar_is_schema_error(tmp_path, sidecar):
+    params, cfg = toy_model(vocab_size=20)
+    save_model(tmp_path, Lm(params=params, config=cfg), name="m")
+    (tmp_path / "m.json").write_text(sidecar)
+    with pytest.raises(SchemaError, match="sidecar"):
+        load_model(tmp_path, name="m")
 
 
 def test_model_role_validation():

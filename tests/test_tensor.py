@@ -240,3 +240,97 @@ def test_randomized_shape_grads(rows, cols, seed):
         return T.tmean(T.gelu(T.matmul(T.layer_norm(a), b)))
 
     check_tensor_grad(loss, {"a": a, "b": b}, rng, max_entries_per_leaf=6)
+
+
+# ---------------------------------------------------------------------------
+# fused ops of the batched training forward, 64-bit, rel tol 1e-4
+
+
+def causal(t):
+    return np.triu(np.full((t, t), -np.inf), k=1)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3])
+def test_attention_grad(p):
+    rng = RNG(30)
+    q, k, v = leaf(rng, 2, 5, 6), leaf(rng, 2, 5, 6), leaf(rng, 2, 5, 6)
+    w = Tensor(rng.normal(size=(2, 5, 6)))
+
+    def loss():
+        out = T.attention(q, k, v, 3, causal(5), p, RNG(8), train=True)
+        return T.tsum(T.mul(out, w))
+
+    check_tensor_grad(loss, {"q": q, "k": k, "v": v}, rng, h=1e-6)
+
+
+def test_attention_matches_per_head_softmax_oracle():
+    rng = RNG(31)
+    q, k, v = (rng.normal(size=(2, 4, 6)) for _ in range(3))
+    got = T.attention(Tensor(q), Tensor(k), Tensor(v), 2, causal(4)).data
+    for b in range(2):
+        for head in range(2):
+            cols = slice(3 * head, 3 * head + 3)
+            scores = q[b, :, cols] @ k[b, :, cols].T / np.sqrt(3) + causal(4)
+            weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            weights /= weights.sum(axis=-1, keepdims=True)
+            np.testing.assert_allclose(got[b, :, cols], weights @ v[b, :, cols], rtol=0, atol=1e-12)
+    # one sequence (T, H) is the one-row batch
+    one = T.attention(Tensor(q[1]), Tensor(k[1]), Tensor(v[1]), 2, causal(4)).data
+    np.testing.assert_array_equal(one, got[1])
+
+
+def test_affine_layer_norm_grad():
+    rng = RNG(32)
+    a, g, b = leaf(rng, 2, 3, 8), leaf(rng, 8), leaf(rng, 8)
+    w = Tensor(rng.normal(size=(2, 3, 8)))
+    check_tensor_grad(lambda: T.tsum(T.mul(T.layer_norm(a, g, b), w)), {"a": a, "g": g, "b": b},
+                      rng, h=1e-6)
+
+
+def test_affine_layer_norm_is_scaled_shifted_layer_norm():
+    rng = RNG(33)
+    x, g, b = Tensor(rng.normal(size=(4, 8))), Tensor(rng.normal(size=8)), Tensor(rng.normal(size=8))
+    np.testing.assert_allclose(T.layer_norm(x, g, b).data, T.layer_norm(x).data * g.data + b.data,
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:cross_entropy_masked")
+@pytest.mark.parametrize("reduction", ["mean", "sum"])
+def test_batched_cross_entropy_grad(reduction):
+    rng = RNG(34)
+    logits = leaf(rng, 3, 4, 5)
+    tgt = rng.integers(0, 5, size=(3, 4))
+    mask = np.array([[False, True, True, False], [True, True, True, True], [False] * 4])
+    w = Tensor(rng.normal(size=3))
+
+    def loss():
+        return T.tsum(T.mul(T.cross_entropy_masked(logits, tgt, mask, reduction=reduction), w))
+
+    check_tensor_grad(loss, {"logits": logits}, rng)
+
+
+@pytest.mark.filterwarnings("ignore:cross_entropy_masked")
+def test_batched_cross_entropy_rows_equal_single_sequences():
+    rng = RNG(35)
+    x = rng.normal(size=(3, 4, 5))
+    tgt = rng.integers(0, 5, size=(3, 4))
+    mask = np.array([[False, True, True, False], [True, True, True, True], [False] * 4])
+    rows = T.cross_entropy_masked(Tensor(x), tgt, mask).data
+    assert rows.shape == (3,) and rows[2] == 0.0
+    for i in range(2):
+        assert rows[i] == pytest.approx(T.cross_entropy_masked(Tensor(x[i]), tgt[i], mask[i]).item(),
+                                        abs=1e-12)
+
+
+def test_batched_matmul_with_bias_and_embedding_grads():
+    rng = RNG(36)
+    a, b, bias = leaf(rng, 2, 3, 4), leaf(rng, 4, 5), leaf(rng, 5)
+    table = leaf(rng, 6, 4)
+    ids = np.array([[1, 4, 1], [0, 5, 1]])
+    w = Tensor(rng.normal(size=(2, 3, 5)))
+
+    def loss():
+        x = T.add(a, T.embedding_lookup(table, ids))
+        return T.tsum(T.mul(T.matmul(x, b, bias), w))
+
+    check_tensor_grad(loss, {"a": a, "b": b, "bias": bias, "table": table}, rng)
