@@ -8,12 +8,14 @@ bit-exact for float32 and float64 payloads.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .errors import SchemaError
+from .files import atomic_open
 
 MAGIC = b"CKP1"
 FORMAT_VERSION = 1
@@ -34,7 +36,7 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -
         if arrays[n].dtype.name not in _DTYPES:
             raise ValueError(f"unsupported checkpoint dtype {arrays[n].dtype} for {n!r}")
     head = json.dumps(header, sort_keys=True, ensure_ascii=True).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", len(head)))
         f.write(head)
@@ -55,9 +57,13 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
         if header.get("format_version") != FORMAT_VERSION:
             raise SchemaError(f"{path}: unsupported checkpoint version {header.get('format_version')}")
         layout = [(n, tuple(header["shapes"][n]), header["dtypes"][n]) for n in header["names"]]
-        sizes = [int(np.prod(shape, dtype=np.int64)) * np.dtype(_DTYPES[dt]).itemsize
-                 for _, shape, dt in layout]
-    except (ValueError, TypeError, KeyError, AttributeError) as e:
+        if any(type(d) is not int or d < 0 for _, shape, _ in layout for d in shape):
+            raise ValueError("array dimensions must be non-negative integers")
+        sizes = [math.prod(shape) * np.dtype(_DTYPES[dt]).itemsize for _, shape, dt in layout]
+        meta = header.get("meta", {})
+        if not isinstance(meta, dict):
+            raise TypeError("'meta' is not an object")
+    except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as e:
         raise SchemaError(f"{path}: malformed checkpoint header ({type(e).__name__}: {e})") from e
     blob = len(raw) - 8 - hlen
     if blob != sum(sizes):
@@ -66,6 +72,6 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
     offset = 8 + hlen
     for (n, shape, dt), nbytes in zip(layout, sizes):
         arr = np.frombuffer(raw[offset : offset + nbytes], dtype=_DTYPES[dt]).reshape(shape)
-        out[n] = arr.astype(dt).copy()
+        out[n] = arr.astype(dt)  # a new, writable array
         offset += nbytes
-    return out, header.get("meta", {})
+    return out, meta

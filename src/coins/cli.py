@@ -16,14 +16,13 @@ import dataclasses
 import functools
 import json
 import logging
-import shutil
 import sys
 from pathlib import Path
 
 import click
 import numpy as np
 
-from . import __version__
+from . import __version__, files
 from .controller import (
     CoinsModels,
     complete_baseline,
@@ -138,7 +137,7 @@ def _prepare_out(out: str, command: str, resolved: dict, force: bool) -> Path:
         raise ConfigError(f"{out_dir} already holds a run (use --force to overwrite)")
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {"tool": "coins", "version": __version__, "command": command, "config": resolved}
-    marker.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    files.write_text(marker, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return out_dir
 
 
@@ -170,8 +169,9 @@ def _train_and_save(out: str, command: str, resolved: dict, force: bool, vocab_p
                         refresh_items=refresh)
     for name, lm in models:
         save_model(out_dir, lm, name=name)
-    shutil.copy(vocab_path, out_dir / "vocab.json")
-    (out_dir / "history.json").write_text(json.dumps(
+    with files.atomic_open(out_dir / "vocab.json", "wb") as f:
+        f.write(Path(vocab_path).read_bytes())
+    files.write_text(out_dir / "history.json", json.dumps(
         {"epoch_nll": hist.epoch_nll, "epoch_loss": hist.epoch_loss, "steps": hist.steps,
          "grad_norm": hist.grad_norm, "clip_rate": hist.clip_rate},
         indent=2) + "\n")
@@ -525,7 +525,7 @@ def complete(nsc_path, seg_path, models_dir, mode, beam, max_sentence_tokens, ma
             for t in traces
         ],
     }
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    files.write_text(out_dir / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     click.echo(f"completed {len(rows)} examples in mode {mode}")
 
 

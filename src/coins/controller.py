@@ -33,7 +33,7 @@ from .data.serialize import (
 from .data.types import RelationType, SilverPair, StoryState
 from .decode import DecodeConfig, DecodeResult, beam_search, decode_rules, lm_logprob_fn
 from .errors import SchemaError
-from .model import Lm, forward_cached
+from .model import Lm, forward_cached, pack_weights
 from .vocab import Vocab, detokenize, encode as vocab_encode
 
 log = logging.getLogger(__name__)
@@ -199,7 +199,8 @@ def _rule_block_states(sentence_model: Lm, vocab: Vocab, prompt: str, rules_text
         return np.zeros((0, sentence_model.config.hidden), dtype=np.float32)
     ids = vocab_encode(prompt, vocab)
     rule_ids = vocab_encode(rules_text, vocab)
-    _, hf, _ = forward_cached(sentence_model.params, sentence_model.config, [ids])
+    weights = pack_weights(sentence_model.params, sentence_model.config)
+    _, hf, _ = forward_cached(weights, sentence_model.config, [ids])
     return np.asarray(hf[0, 1 : 1 + len(rule_ids)], dtype=np.float32)
 
 

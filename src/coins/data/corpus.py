@@ -15,6 +15,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ..errors import SchemaError
+from ..files import atomic_open
 from ..vocab import escape_specials
 from .rules import parse_rule, render_rule
 from .types import (
@@ -82,23 +83,32 @@ def split_by_story_id(stories: list[Story], dev_fraction: float, seed: int) -> t
 
 def read_jsonl(path) -> Iterator[tuple[int, dict]]:
     """(line number, object) for every non-blank line; a line that is not
-    a JSON object raises SchemaError naming the file and line."""
-    with open(path, "r", encoding="utf-8") as f:
+    UTF-8 text holding a JSON object raises SchemaError naming the file
+    and line."""
+    # undecodable bytes become lone surrogates, which UTF-8 cannot encode
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as e:
+                    raise SchemaError(f"{path}:{lineno}: not UTF-8 text") from e
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as e:
                 raise SchemaError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
+            except (ValueError, RecursionError) as e:  # an overlong integer, too deep a nesting
+                raise SchemaError(f"{path}:{lineno}: invalid JSON ({e})") from e
             if not isinstance(row, dict):
                 raise SchemaError(f"{path}:{lineno}: expected an object per line")
             yield lineno, row
 
 
 def write_jsonl(path, rows: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path, "w", encoding="utf-8") as f:
         for row in rows:
             f.write(json.dumps(row, ensure_ascii=True) + "\n")
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .data.serialize import csi_source, split_rules
 from .data.types import RelationType, StoryState
-from .model import Lm, forward_cached
+from .model import KvCache, Lm, forward_cached, pack_weights
 from .vocab import Vocab, detokenize, encode
 
 LogprobFn = Callable[[Sequence[tuple[int, ...]]], np.ndarray]
@@ -85,10 +85,10 @@ def beam_search(logprob_fn: LogprobFn, prefix: Sequence[int], config: DecodeConf
     for _ in range(config.max_new_tokens):
         cands: list[BeamHypothesis] = []
         lps = np.asarray(logprob_fn([hyp.ids for hyp in live]), dtype=np.float64)
-        for hyp, lp in zip(live, lps):
-            order = np.lexsort((np.arange(lp.shape[0]), -lp))[:width]
-            for tok in order:
-                tok = int(tok)
+        # every row's top tokens by descending log-prob, ties to the lowest id
+        tops = np.argsort(-lps, axis=1, kind="stable")[:, :width].tolist()
+        for hyp, lp, top in zip(live, lps, tops):
+            for tok in top:
                 cands.append(
                     BeamHypothesis(
                         ids=hyp.ids + (tok,),
@@ -123,25 +123,27 @@ def greedy(logprob_fn: LogprobFn, prefix: Sequence[int], config: DecodeConfig) -
 def lm_logprob_fn(lm: Lm) -> LogprobFn:
     """Batched next-token log-probs from a transformer, with a key/value cache.
 
-    A call whose hypotheses each extend a row of the previous call by one
-    token gathers those parent rows' keys and values and runs one
-    (n, 1) step; any other call (the first of a decode) prefills its
-    hypotheses whole. Only the previous call's rows are kept, so the
-    cache holds at most beam width x max_positions entries per layer.
+    The model's weights are packed once, when the source is made. A call
+    whose hypotheses each extend a row of the previous call by one token
+    moves those parent rows into place in the cache (at width 1 they
+    already are) and runs one (n, 1) step; any other call (the first of a
+    decode) prefills its hypotheses whole into the same buffers.
     """
+    weights = pack_weights(lm.params, lm.config)
+    cache = KvCache(lm.config, 1, weights.tok_emb.dtype)
     rows: dict[tuple[int, ...], int] = {}
-    cache = None
 
     def fn(batch: Sequence[tuple[int, ...]]) -> np.ndarray:
-        nonlocal rows, cache
+        nonlocal rows
         batch = [tuple(ids) for ids in batch]
         parents = [rows.get(ids[:-1]) for ids in batch]
-        if cache is not None and None not in parents:
-            idx = np.asarray(parents, dtype=np.intp)
-            past = [(k[idx], v[idx]) for k, v in cache]
-            logits, _, cache = forward_cached(lm.params, lm.config, [ids[-1:] for ids in batch], past)
+        if rows and None not in parents:
+            cache.select(parents)
+            new = [ids[-1:] for ids in batch]
         else:
-            logits, _, cache = forward_cached(lm.params, lm.config, batch)
+            cache.reset(len(batch))
+            new = batch
+        logits = forward_cached(weights, lm.config, new, cache)[0]
         rows = {ids: i for i, ids in enumerate(batch)}
         return T.log_softmax_rows(logits[:, -1].astype(np.float64))
 

@@ -14,9 +14,9 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
+from . import files
 from .errors import SchemaError
 from .vocab import tokenize
 
@@ -209,7 +209,7 @@ class MetricReport:
         )
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        files.write_text(path, self.to_json())
 
 
 def _single_run_metrics(pairs: list[EvalPair], ppl: float | None) -> dict[str, float]:

@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import files
 from . import tensor as T
 from .checkpoint import load_arrays, save_arrays
 from .errors import ConfigError, MissingInputError, SchemaError
@@ -95,14 +96,14 @@ def init_lm(config: LmConfig, rng: np.random.Generator, dtype=np.float32) -> dic
     return params
 
 
-_MASK_CACHE: dict[tuple[int, str], np.ndarray] = {}
+_MASK_CACHE: dict[tuple[int, np.dtype], np.ndarray] = {}
 
 
-def _causal_mask(config: LmConfig, dtype) -> np.ndarray:
+def _causal_mask(config: LmConfig, dtype: np.dtype) -> np.ndarray:
     """The additive (P, P) causal mask over all P = max_positions positions:
     -inf above the diagonal. Rows t..t+s and columns ..t+s of it mask s new
     positions that follow t cached ones."""
-    key = (config.max_positions, np.dtype(dtype).name)
+    key = (config.max_positions, dtype)
     m = _MASK_CACHE.get(key)
     if m is None:
         m = np.triu(np.full((config.max_positions,) * 2, -np.inf, dtype=dtype), k=1)
@@ -161,57 +162,125 @@ def forward(
     return T.matmul(hf, T.transpose(proj))
 
 
-KvCache = list[tuple[np.ndarray, np.ndarray]]
+@dataclass(frozen=True)
+class PackedWeights:
+    """A model's weights as plain arrays laid out for :func:`forward_cached`.
+
+    ``blocks`` holds one tuple per layer: ln1 gain and bias, the fused
+    (H, 3H) query/key/value matrix and its (3H,) bias, the output
+    projection and bias, ln2 gain and bias, and the MLP's two matrices and
+    biases. Every array but the fused ones is the parameter's own buffer,
+    so pack again after the weights change.
+    """
+
+    tok_emb: np.ndarray
+    pos_emb: np.ndarray
+    blocks: tuple[tuple[np.ndarray, ...], ...]
+    ln_f: tuple[np.ndarray, np.ndarray]
+    proj: np.ndarray
+
+
+def pack_weights(params: dict[str, Tensor], config: LmConfig) -> PackedWeights:
+    """Pack ``params`` once for any number of :func:`forward_cached` calls.
+    One product with the fused matrix gives the same bits as three with
+    the query, key and value matrices."""
+    w = {k: v.data for k, v in params.items()}
+    blocks = []
+    for b in range(config.layers):
+        p = f"h{b}."
+        qkv = [p + "attn.wq", p + "attn.wk", p + "attn.wv"]
+        bias = [p + "attn.bq", p + "attn.bk", p + "attn.bv"]
+        blocks.append((
+            w[p + "ln1.g"], w[p + "ln1.b"],
+            np.concatenate([w[k] for k in qkv], axis=1), np.concatenate([w[k] for k in bias]),
+            w[p + "attn.wo"], w[p + "attn.bo"], w[p + "ln2.g"], w[p + "ln2.b"],
+            w[p + "mlp.w1"], w[p + "mlp.b1"], w[p + "mlp.w2"], w[p + "mlp.b2"],
+        ))
+    proj = w["tok_emb"] if config.tie_output_to_embedding else w["out_proj"]
+    return PackedWeights(w["tok_emb"], w["pos_emb"], tuple(blocks), (w["ln_f.g"], w["ln_f.b"]), proj)
+
+
+class KvCache:
+    """Keys and values of the positions seen so far, in per-layer buffers
+    of shape (capacity, max_positions, H) that :func:`forward_cached`
+    fills in place. Positions [0, length) of the first ``rows`` rows hold
+    data; attention reads views of them, with no copy per step."""
+
+    def __init__(self, config: LmConfig, rows: int, dtype: np.dtype):
+        shape = (rows, config.max_positions, config.hidden)
+        self.keys = [np.empty(shape, dtype=dtype) for _ in range(config.layers)]
+        self.values = [np.empty(shape, dtype=dtype) for _ in range(config.layers)]
+        self.rows = rows
+        self.length = 0
+
+    def reset(self, rows: int) -> None:
+        """Empty the cache for ``rows`` new sequences, reusing the buffers."""
+        self.length = 0
+        self.select([0] * rows)
+
+    def select(self, parents: Sequence[int]) -> None:
+        """Make row i continue cached row ``parents[i]``, for every i. Rows
+        already in place (``parents`` is 0..n-1) are not touched."""
+        n, t = len(parents), self.length
+        if n <= self.keys[0].shape[0] and list(parents) == list(range(n)):
+            self.rows = n
+            return
+        idx = np.asarray(parents, dtype=np.intp)
+        for bufs in (self.keys, self.values):
+            for i, buf in enumerate(bufs):
+                out = buf if n <= buf.shape[0] else np.empty((n, *buf.shape[1:]), dtype=buf.dtype)
+                out[:n, :t] = buf[idx, :t]  # the gather copies before the write
+                bufs[i] = out
+        self.rows = n
 
 
 def forward_cached(
-    params: dict[str, Tensor],
+    weights: PackedWeights,
     config: LmConfig,
     ids,
     cache: KvCache | None = None,
 ) -> tuple[np.ndarray, np.ndarray, KvCache]:
     """Inference forward in plain numpy: no graph, no dropout, the same
-    kernels as :func:`forward`.
+    kernels as :func:`forward`, on weights from :func:`pack_weights`.
 
-    ``ids`` (B, s) are new tokens that continue the ``cache`` positions:
-    one (keys, values) pair of shape (B, t, H) per layer, from an earlier
-    call. Returns logits (B, s, V), final-norm hidden states (B, s, H)
-    and the cache extended to t + s positions. Prefilling a prompt and
-    then feeding one token at a time gives the logits of
+    ``ids`` (B, s) are new tokens that continue the B rows of ``cache``
+    (a fresh cache when None) at its ``length`` positions. The call writes
+    their keys and values into the cache in place and returns logits
+    (B, s, V), final-norm hidden states (B, s, H) and the cache. Prefilling
+    a prompt and then feeding one token at a time gives the logits of
     :func:`forward` on the whole sequence, up to float summation order.
     """
     ids = np.asarray(ids, dtype=np.intp)
     B, s = ids.shape
-    t = 0 if cache is None else cache[0][0].shape[1]
+    if cache is None:
+        cache = KvCache(config, B, weights.tok_emb.dtype)
+    elif cache.rows != B:
+        raise ValueError(f"{B} input rows for a cache of {cache.rows} rows")
+    t = cache.length
     _check_length(s, t + s, config)
-    w = {k: v.data for k, v in params.items()}
-    H = config.hidden
-    mask = _causal_mask(config, w["tok_emb"].dtype)[t : t + s, : t + s]
+    H, end = config.hidden, t + s
+    # one new position sees every cached one, so it needs no mask
+    mask = None if s == 1 else _causal_mask(config, weights.tok_emb.dtype)[t:end, :end]
 
     # rows are (batch, position) pairs, flattened for the projections
-    h = (w["tok_emb"][ids] + w["pos_emb"][t : t + s]).reshape(B * s, H)
-    new_cache: KvCache = []
-    for b in range(config.layers):
-        p = f"h{b}."
-        a = T.layer_norm_array(h, w[p + "ln1.g"], w[p + "ln1.b"], LN_EPS)[0]
-        q = (a @ w[p + "attn.wq"] + w[p + "attn.bq"]).reshape(B, s, H)
-        k = (a @ w[p + "attn.wk"] + w[p + "attn.bk"]).reshape(B, s, H)
-        v = (a @ w[p + "attn.wv"] + w[p + "attn.bv"]).reshape(B, s, H)
-        if cache is not None:
-            k = np.concatenate([cache[b][0], k], axis=1)
-            v = np.concatenate([cache[b][1], v], axis=1)
-        new_cache.append((k, v))
-        o = T.attention_array(q, k, v, config.heads, mask)[0].reshape(B * s, H)
-        h = h + (o @ w[p + "attn.wo"] + w[p + "attn.bo"])
+    h = (weights.tok_emb[ids] + weights.pos_emb[t:end]).reshape(B * s, H)
+    for block, keys, values in zip(weights.blocks, cache.keys, cache.values):
+        ln1g, ln1b, wqkv, bqkv, wo, bo, ln2g, ln2b, w1, b1, w2, b2 = block
+        a = T.layer_norm_array(h, ln1g, ln1b, LN_EPS)[0]
+        qkv = (a @ wqkv + bqkv).reshape(B, s, 3 * H)
+        keys[:B, t:end] = qkv[..., H : 2 * H]
+        values[:B, t:end] = qkv[..., 2 * H :]
+        o = T.attention_array(qkv[..., :H], keys[:B, :end], values[:B, :end], config.heads, mask)[0]
+        h = h + (o.reshape(B * s, H) @ wo + bo)
 
-        m = T.layer_norm_array(h, w[p + "ln2.g"], w[p + "ln2.b"], LN_EPS)[0]
-        m = T.gelu_tanh(m @ w[p + "mlp.w1"] + w[p + "mlp.b1"])[0]
-        h = h + (m @ w[p + "mlp.w2"] + w[p + "mlp.b2"])
+        m = T.layer_norm_array(h, ln2g, ln2b, LN_EPS)[0]
+        m = T.gelu_tanh(m @ w1 + b1)[0]
+        h = h + (m @ w2 + b2)
+    cache.length = end
 
-    hf = T.layer_norm_array(h, w["ln_f.g"], w["ln_f.b"], LN_EPS)[0]
-    proj = w["tok_emb"] if config.tie_output_to_embedding else w["out_proj"]
-    logits = hf @ proj.T
-    return logits.reshape(B, s, -1), hf.reshape(B, s, H), new_cache
+    hf = T.layer_norm_array(h, *weights.ln_f, LN_EPS)[0]
+    logits = hf @ weights.proj.T
+    return logits.reshape(B, s, -1), hf.reshape(B, s, H), cache
 
 
 @dataclass(frozen=True)
@@ -369,7 +438,7 @@ def save_model(directory, lm: Lm, name: str = "model") -> None:
         meta={"model_role": lm.role},
     )
     sidecar = {"model_role": lm.role, "config": lm.config.to_json()}
-    (directory / f"{name}.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    files.write_text(directory / f"{name}.json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
 def load_model(directory, name: str = "model") -> Lm:

@@ -280,9 +280,13 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 def layer_norm_array(x: np.ndarray, gain=None, bias=None, eps: float = 1e-5):
     """Normalize the last axis of ``x`` to zero mean and unit variance, then
     scale by ``gain`` and shift by ``bias`` when they are given. Returns the
-    output, the normalized input and 1/std; the backward reuses the last two."""
-    xc = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    output, the normalized input and 1/std; the backward reuses the last two.
+
+    Means are ``np.add.reduce(...) / n``: the same bits as ``ndarray.mean``
+    in fewer calls."""
+    n = x.shape[-1]
+    xc = x - np.add.reduce(x, -1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, -1, keepdims=True) / n + eps)
     xhat = xc * inv
     return (xhat if gain is None else xhat * gain + bias), xhat, inv
 
@@ -297,8 +301,9 @@ def layer_norm(a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None
 
     def back(g):
         gx = g * gain.data if affine else g
-        gm = gx.mean(axis=-1, keepdims=True)
-        gym = (gx * xhat).mean(axis=-1, keepdims=True)
+        n = gx.shape[-1]
+        gm = np.add.reduce(gx, -1, keepdims=True) / n
+        gym = np.add.reduce(gx * xhat, -1, keepdims=True) / n
         dx = inv * (gx - gm - xhat * gym)
         if not affine:
             return (dx,)
@@ -354,13 +359,14 @@ def _keep_mask(shape, p: float, rng: np.random.Generator | None, dtype) -> np.nd
     return (rng.random(shape, dtype=np.float32) >= p).astype(dtype) / (1.0 - p)
 
 
-def attention_array(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, mask: np.ndarray,
-                    keep: np.ndarray | None = None):
+def attention_array(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
+                    mask: np.ndarray | None, keep: np.ndarray | None = None):
     """Multi-head scaled dot-product attention in plain numpy.
 
     Queries ``q`` (B, s, H) attend over keys and values ``k``, ``v``
     (B, t, H), split into ``heads`` heads of H/heads features. ``mask``
-    (s, t) is added to the scores (0 or -inf). ``keep``, when given,
+    (s, t) is added to the scores (0 or -inf); None adds nothing, as for
+    one query that may see every key. ``keep``, when given,
     multiplies the softmax weights (B, heads, s, t): dropout. Returns the
     output (B, s, H) and, for the backward, the softmax weights and the
     per-head queries, transposed keys and values.
@@ -371,9 +377,14 @@ def attention_array(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, mas
     qh = q.reshape(B, s, heads, dh).transpose(0, 2, 1, 3)
     kt = k.reshape(B, t, heads, dh).transpose(0, 2, 3, 1)
     vh = v.reshape(B, t, heads, dh).transpose(0, 2, 1, 3)
-    scores = (qh @ kt) * (1.0 / float(np.sqrt(dh))) + mask
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    att = e / e.sum(axis=-1, keepdims=True)
+    # softmax in place on the fresh scores: the same bits as out of place
+    att = qh @ kt
+    att *= 1.0 / float(np.sqrt(dh))
+    if mask is not None:
+        att += mask
+    att -= att.max(axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=-1, keepdims=True)
     weights = att if keep is None else att * keep
     out = (weights @ vh).transpose(0, 2, 1, 3).reshape(B, s, H)
     return out, (att, qh, kt, vh)

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .errors import ConfigError
+from . import files
+from .errors import ConfigError, SchemaError
 
 VOCAB_FORMAT_VERSION = 1
 
@@ -124,14 +125,23 @@ class Vocab:
             "specials": self.specials,
             "tokens": self.id_to_token,
         }
-        Path(path).write_text(json.dumps(payload, ensure_ascii=True, indent=0) + "\n", encoding="utf-8")
+        files.write_text(path, json.dumps(payload, ensure_ascii=True, indent=0) + "\n")
 
     @classmethod
     def load(cls, path) -> "Vocab":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload.get("version") != VOCAB_FORMAT_VERSION:
-            raise ConfigError(f"{path}: unsupported vocab version {payload.get('version')}")
-        return cls(id_to_token=list(payload["tokens"]), lowercase=bool(payload["lowercase"]))
+        """The vocabulary saved at ``path``. A file that is not a saved
+        vocabulary raises :class:`SchemaError`; another format version
+        raises :class:`ConfigError`."""
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+            if payload.get("version") != VOCAB_FORMAT_VERSION:
+                raise ConfigError(f"{path}: unsupported vocab version {payload.get('version')}")
+            tokens, lowercase = payload["tokens"], payload["lowercase"]
+            if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+                raise TypeError("'tokens' is not a list of strings")
+        except (ValueError, RecursionError, KeyError, TypeError, AttributeError) as e:
+            raise SchemaError(f"{path}: malformed vocabulary ({type(e).__name__}: {e})") from e
+        return cls(id_to_token=tokens, lowercase=bool(lowercase))
 
 
 def train_vocab(

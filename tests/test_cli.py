@@ -409,3 +409,25 @@ def test_history_records_grad_norm_and_clip_rate(pipeline):
         assert len(norms) == len(rates) == 2  # sentence model, rule model
         assert all(n > 0 for n in norms) and all(0.0 <= r <= 1.0 for r in rates)
     assert history["clip_rate"][0] == [1.0, 1.0]  # a fresh model's first steps are clipped
+
+
+def test_undecodable_jsonl_line_is_schema_error(pipeline, tmp_path):
+    root, runner, _ = pipeline
+    stories = tmp_path / "stories.jsonl"
+    lines = (root / "corpus/stories.jsonl").read_bytes().splitlines(keepends=True)
+    stories.write_bytes(lines[0] + b'{"id": "x\xff", "sentences": []}\n' + lines[1])
+    r = invoke(runner, "build-nsc", "--stories", stories, "--out", tmp_path / "nsc")
+    assert r.exit_code == 4, r.output
+    assert "error:" in r.output and "stories.jsonl:2" in r.output
+    assert not (tmp_path / "nsc").exists()
+
+
+def test_truncated_vocab_is_schema_error(pipeline, tmp_path):
+    root, runner, cfg = pipeline
+    vocab = tmp_path / "vocab.json"
+    vocab.write_text((root / "vocab/vocab.json").read_text()[:-40])
+    r = invoke(runner, "train-baseline", "--nsc", root / "nsc/nsc.jsonl", "--vocab", vocab,
+               "--config", cfg, "--out", tmp_path / "base")
+    assert r.exit_code == 4, r.output
+    assert "error:" in r.output and "vocab.json" in r.output
+    assert not (tmp_path / "base").exists()

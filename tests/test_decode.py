@@ -245,3 +245,22 @@ def test_cached_lm_source_matches_uncached_forward(width):
         got = beam_search(cached, prefix, decode_cfg)
         assert got.ids == want.ids and got.finished == want.finished
         assert got.score == pytest.approx(want.score, abs=1e-4)
+
+
+@pytest.mark.parametrize("stop_token", [None, 3])
+@pytest.mark.parametrize("width", [1, 5])
+def test_reused_lm_source_is_bit_identical_to_fresh_sources(width, stop_token):
+    # one source's cache buffers serve a long, a short and a long prompt
+    # again; stale rows and positions from earlier decodes never leak in
+    cfg = LmConfig(vocab=30, layers=2, hidden=32, heads=2, max_positions=40, dropout_p=0.0)
+    lm = Lm(init_lm(cfg, np.random.default_rng(23)), cfg)
+    rng = np.random.default_rng(24)
+    long_a, short, long_b = (tuple(int(t) for t in rng.integers(4, cfg.vocab, size=n)) for n in (25, 3, 22))
+    decode_cfg = DecodeConfig(beam_width=width, max_new_tokens=12, stop_token=stop_token)
+    shared = lm_logprob_fn(lm)
+    for prefix in (long_a, short, long_b):
+        want = beam_search(lm_logprob_fn(lm), prefix, decode_cfg)
+        got = beam_search(shared, prefix, decode_cfg)
+        assert (got.ids, got.score, got.finished) == (want.ids, want.score, want.finished)
+        assert got.n_generated == want.n_generated
+        assert stop_token is not None or got.n_generated == 12  # every step ran

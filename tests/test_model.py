@@ -9,6 +9,7 @@ from coins.data.types import Flavor
 from coins.errors import ConfigError, SchemaError
 from coins.model import (
     JointItem,
+    KvCache,
     LengthError,
     Lm,
     LmConfig,
@@ -20,6 +21,7 @@ from coins.model import (
     load_model,
     make_train_seq,
     masked_nll,
+    pack_weights,
     pad_batch,
     save_model,
     sequence_nll,
@@ -113,10 +115,11 @@ def test_full_model_gradients_match_finite_differences():
 
 def prefill_then_steps(params, cfg, ids, n_prefill):
     """Logits (len(ids), V) from prefilling n_prefill tokens, then one token per call."""
-    logits, _, cache = forward_cached(params, cfg, [ids[:n_prefill]])
+    weights = pack_weights(params, cfg)
+    logits, _, cache = forward_cached(weights, cfg, [ids[:n_prefill]])
     rows = [logits[0]]
     for tok in ids[n_prefill:]:
-        logits, _, cache = forward_cached(params, cfg, [[tok]], cache)
+        logits, _, cache = forward_cached(weights, cfg, [[tok]], cache)
         rows.append(logits[0])
     return np.concatenate(rows)
 
@@ -148,17 +151,67 @@ def test_cached_forward_matches_forward_on_trained_model(overfit_world):
 @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
 def test_cached_batched_step_equals_rows_one_at_a_time(dtype, tol):
     params, cfg = toy_model(seed=6, dtype=dtype)
+    weights = pack_weights(params, cfg)
     rng = np.random.default_rng(12)
     prompts = rng.integers(0, cfg.vocab, size=(5, 9))
     nxt = rng.integers(0, cfg.vocab, size=(5, 1))
-    _, _, cache = forward_cached(params, cfg, prompts)
-    batched, hidden, cache = forward_cached(params, cfg, nxt, cache)
+    _, _, cache = forward_cached(weights, cfg, prompts)
+    batched, hidden, cache = forward_cached(weights, cfg, nxt, cache)
     assert batched.shape == (5, 1, cfg.vocab) and hidden.shape == (5, 1, cfg.hidden)
-    assert all(k.shape == v.shape == (5, 10, cfg.hidden) for k, v in cache)
+    assert cache.rows == 5 and cache.length == 10
     for i in range(5):
-        _, _, row_cache = forward_cached(params, cfg, prompts[i : i + 1])
-        row, _, _ = forward_cached(params, cfg, nxt[i : i + 1], row_cache)
+        _, _, row_cache = forward_cached(weights, cfg, prompts[i : i + 1])
+        row, _, _ = forward_cached(weights, cfg, nxt[i : i + 1], row_cache)
         np.testing.assert_allclose(batched[i], row[0], rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_packed_step_is_bit_identical_to_unfused_step(dtype):
+    # the fused QKV product and attention over views of the cache buffers
+    # give exactly the bits of three products and concatenated keys/values
+    params, cfg = toy_model(seed=16, dtype=dtype)
+    w = {k: v.data for k, v in params.items()}
+    rng = np.random.default_rng(17)
+    ids = rng.integers(0, cfg.vocab, size=(3, 13))
+    weights = pack_weights(params, cfg)
+    cache = KvCache(cfg, 3, dtype)
+    past = [(np.zeros((3, 0, cfg.hidden), dtype),) * 2 for _ in range(cfg.layers)]
+    full_mask = np.triu(np.full((cfg.max_positions,) * 2, -np.inf, dtype=dtype), k=1)
+    for s in (8, 1, 1, 2, 1):  # a one-position step gets the mask's all-zero row here
+        t = cache.length
+        got, got_hf, _ = forward_cached(weights, cfg, ids[:, t : t + s], cache)
+        h = (w["tok_emb"][ids[:, t : t + s]] + w["pos_emb"][t : t + s]).reshape(3 * s, -1)
+        for b in range(cfg.layers):
+            p = f"h{b}."
+            a = T.layer_norm_array(h, w[p + "ln1.g"], w[p + "ln1.b"], 1e-5)[0]
+            q, k, v = ((a @ w[p + f"attn.w{x}"] + w[p + f"attn.b{x}"]).reshape(3, s, -1) for x in "qkv")
+            past[b] = (np.concatenate([past[b][0], k], axis=1), np.concatenate([past[b][1], v], axis=1))
+            o = T.attention_array(q, *past[b], cfg.heads, full_mask[t : t + s, : t + s])[0]
+            h = h + (o.reshape(3 * s, -1) @ w[p + "attn.wo"] + w[p + "attn.bo"])
+            m = T.layer_norm_array(h, w[p + "ln2.g"], w[p + "ln2.b"], 1e-5)[0]
+            m = T.gelu_tanh(m @ w[p + "mlp.w1"] + w[p + "mlp.b1"])[0]
+            h = h + (m @ w[p + "mlp.w2"] + w[p + "mlp.b2"])
+        hf = T.layer_norm_array(h, w["ln_f.g"], w["ln_f.b"], 1e-5)[0]
+        assert np.array_equal(got_hf.reshape(3 * s, -1), hf)
+        assert np.array_equal(got.reshape(3 * s, -1), hf @ w["tok_emb"].T)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cache_row_permutation_matches_fresh_prefill(dtype):
+    params, cfg = toy_model(seed=18, dtype=dtype)
+    weights = pack_weights(params, cfg)
+    rng = np.random.default_rng(19)
+    prompts = rng.integers(0, cfg.vocab, size=(3, 7))
+    nxt = rng.integers(0, cfg.vocab, size=(5, 2))
+    for parents in ([2, 0, 1], [1, 1, 1, 1, 1], [2, 0]):
+        n = len(parents)
+        _, _, cache = forward_cached(weights, cfg, prompts)
+        cache.select(parents)
+        _, _, fresh = forward_cached(weights, cfg, prompts[parents])
+        for j in range(2):  # two steps, so the moved rows are read and extended
+            got, got_hf, _ = forward_cached(weights, cfg, nxt[:n, j : j + 1], cache)
+            want, want_hf, _ = forward_cached(weights, cfg, nxt[:n, j : j + 1], fresh)
+            assert np.array_equal(got, want) and np.array_equal(got_hf, want_hf)
 
 
 @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-10)])
@@ -170,7 +223,7 @@ def test_cached_forward_matches_batched_forward_on_padded_batch(dtype, tol):
     assert inputs.shape == (3, 23)
     with T.no_grad():
         want = forward(params, cfg, inputs).data
-    got, _, _ = forward_cached(params, cfg, inputs)
+    got, _, _ = forward_cached(pack_weights(params, cfg), cfg, inputs)
     assert want.shape == got.shape == (3, 23, cfg.vocab)
     np.testing.assert_allclose(got, want, rtol=0, atol=tol)
     for i, seq in enumerate(seqs):  # padding never reaches a real position
@@ -181,16 +234,20 @@ def test_cached_forward_matches_batched_forward_on_padded_batch(dtype, tol):
 
 def test_cached_forward_rejects_overlong_input():
     params, cfg = toy_model()
+    weights = pack_weights(params, cfg)
     with pytest.raises(LengthError):
-        forward_cached(params, cfg, np.zeros((1, cfg.max_positions + 1), dtype=np.intp))
-    _, _, cache = forward_cached(params, cfg, np.zeros((2, cfg.max_positions), dtype=np.intp))
+        forward_cached(weights, cfg, np.zeros((1, cfg.max_positions + 1), dtype=np.intp))
+    _, _, cache = forward_cached(weights, cfg, np.zeros((2, cfg.max_positions - 1), dtype=np.intp))
+    forward_cached(weights, cfg, np.zeros((2, 1), dtype=np.intp), cache)  # the last position fits
+    assert cache.length == cfg.max_positions
+    with pytest.raises(LengthError):  # a step past max_positions
+        forward_cached(weights, cfg, np.zeros((2, 1), dtype=np.intp), cache)
+    assert cache.length == cfg.max_positions
     with pytest.raises(LengthError):
-        forward_cached(params, cfg, np.zeros((2, 1), dtype=np.intp), cache)
-    with pytest.raises(LengthError):
-        forward_cached(params, cfg, np.zeros((1, 0), dtype=np.intp))
+        forward_cached(weights, cfg, np.zeros((1, 0), dtype=np.intp))
 
 
-# losses
+# losses# losses
 
 
 def seqs_for(text_prompt, text_target, vocab):

@@ -334,3 +334,59 @@ def test_batched_matmul_with_bias_and_embedding_grads():
         return T.tsum(T.mul(T.matmul(x, b, bias), w))
 
     check_tensor_grad(loss, {"a": a, "b": b, "bias": bias, "table": table}, rng)
+
+
+# the plain-numpy kernels against their earlier formulas, bit for bit
+
+
+def reference_layer_norm(x, gain, bias, eps):
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
+    return xhat * gain + bias, xhat, inv
+
+
+def reference_attention(q, k, v, heads, mask):
+    B, s, H = q.shape
+    t, dh = k.shape[1], H // heads
+    qh = q.reshape(B, s, heads, dh).transpose(0, 2, 1, 3)
+    kt = k.reshape(B, t, heads, dh).transpose(0, 2, 3, 1)
+    vh = v.reshape(B, t, heads, dh).transpose(0, 2, 1, 3)
+    scores = (qh @ kt) * (1.0 / float(np.sqrt(dh))) + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    att = e / e.sum(axis=-1, keepdims=True)
+    return (att @ vh).transpose(0, 2, 1, 3).reshape(B, s, H), att
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_array_is_bit_identical_to_mean_formula(dtype):
+    rng = np.random.default_rng(40)
+    for shape in [(1, 64), (7, 64), (3, 5, 32), (160, 64)]:
+        x = (rng.normal(size=shape) * 3 + 1).astype(dtype)
+        gain = rng.normal(size=shape[-1]).astype(dtype)
+        bias = rng.normal(size=shape[-1]).astype(dtype)
+        got = T.layer_norm_array(x, gain, bias, 1e-5)
+        want = reference_layer_norm(x, gain, bias, 1e-5)
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
+        # the backward's means too: its input gradient against the mean formula
+        a, g, b = (Tensor(z, requires_grad=True) for z in (x, gain, bias))
+        up = rng.normal(size=shape).astype(dtype)
+        gx = up * gain
+        _, xhat, inv = want
+        dx = inv * (gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+        assert np.array_equal(T.layer_norm(a, g, b, 1e-5)._backward(up)[0], dx)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_array_is_bit_identical_to_out_of_place_softmax(dtype):
+    rng = np.random.default_rng(41)
+    for B, s, t in [(1, 1, 1), (5, 1, 37), (1, 12, 12), (3, 4, 9)]:
+        q, k, v = (rng.normal(size=(B, n, 64)).astype(dtype) for n in (s, t, t))
+        causal_rows = np.triu(np.full((t, t), -np.inf, dtype=dtype), k=1)[t - s :]
+        got, (att, *_) = T.attention_array(q, k, v, 2, causal_rows)
+        want, want_att = reference_attention(q, k, v, 2, causal_rows)
+        assert np.array_equal(got, want) and np.array_equal(att, want_att)
+        if s == 1:  # no mask against an explicit all-zero row
+            got, (att, *_) = T.attention_array(q, k, v, 2, None)
+            want, want_att = reference_attention(q, k, v, 2, np.zeros((1, t), dtype=dtype))
+            assert np.array_equal(got, want) and np.array_equal(att, want_att)
