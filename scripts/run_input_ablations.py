@@ -18,7 +18,7 @@ import numpy as np
 from coins.controller import CoinsModels, complete_baseline, default_controller_config, run_ablation
 from coins.data import synthetic
 from coins.data.corpus import build_nsc_corpus
-from coins.data.rules import aggregate_rules
+from coins.data.rules import gold_rule_pairs
 from coins.data.serialize import (
     MODE_FULL,
     MODE_IR_ONLY,
@@ -26,7 +26,7 @@ from coins.data.serialize import (
     MODE_NO_IR_WO_SE,
     MODE_ORACLE,
 )
-from coins.data.types import Flavor, RelationType, SilverPair, initial_state
+from coins.data.types import Flavor, initial_state
 from coins.decode import DecodeConfig
 from coins.metrics import EvalPair, bleu, rouge_l
 from coins.model import Lm, LmConfig, init_lm
@@ -34,17 +34,6 @@ from coins.train import TrainConfig, build_baseline_seqs, build_joint_items, tra
 from coins.vocab import train_vocab
 
 MODES = (MODE_ORACLE, MODE_FULL, MODE_IR_WO_SE, MODE_IR_ONLY, MODE_NO_IR_WO_SE)
-
-
-def gold_pairs(records, ex):
-    recs = [r for r in records if r.story_id == ex.id]
-    return {
-        it: SilverPair(
-            effect=aggregate_rules(recs, it + 1, RelationType.EFFECT, Flavor.GENERAL),
-            cause=aggregate_rules(recs, ex.n_sentences, RelationType.CAUSE, Flavor.GENERAL),
-        )
-        for it in range(1, len(ex.targets) + 1)
-    }
 
 
 def main():
@@ -68,6 +57,7 @@ def main():
     refs = {ex.id: " ".join(ex.targets) for ex in eval_ex}
     baseline_train = build_baseline_seqs(train_ex, vocab)
 
+    eval_pairs = gold_rule_pairs(eval_ex, records, Flavor.GENERAL)
     totals = {m: [] for m in (*MODES, "baseline")}
     rouge = {m: [] for m in totals}
     for seed in range(args.seeds):
@@ -88,10 +78,10 @@ def main():
                                          max_rule_tokens_per_decode=40)
         for mode in MODES:
             pairs = []
-            for ex in eval_ex:
+            for ex, gold in zip(eval_ex, eval_pairs):
                 sents, _, _ = run_ablation(
                     mode, models, vocab, initial_state(ex), ex.n_sentences, ccfg, example_id=ex.id,
-                    silver_rules=gold_pairs(records, ex) if mode == MODE_ORACLE else None)
+                    silver_rules=gold if mode == MODE_ORACLE else None)
                 pairs.append(EvalPair(candidate=" ".join(sents), references=(refs[ex.id],)))
             totals[mode].append(bleu(pairs, max_n=1))
             rouge[mode].append(rouge_l(pairs))

@@ -6,9 +6,12 @@ build-nsc, train-vocab, train-coins, complete --mode full, evaluate).
 Then, on models trained for 150 epochs so that their decodes are many
 tokens long, it runs train-coins, train-csi, enrich at beam 1 and beam
 3, train-baseline, and complete in full, baseline, oracle and seg modes,
-each evaluated. Every output file under DIR is listed in
-DIR/manifest.json with its SHA-256; run_config.json is left out because
-it records paths. A run takes about 30 s on two CPUs.
+each evaluated. Last, at criterion 10's epochs, it trains on every
+kind of training item: silver rules, --ablation-mix, --dynamic-rules,
+a SEG corpus, and a specific-rule (sr) rule model. Every output file
+under DIR is listed in DIR/manifest.json with its SHA-256;
+run_config.json is left out because it records paths. A run takes
+about 10 s on two CPUs.
 
 Two checkouts give the same program output exactly when their manifests
 are equal:
@@ -75,6 +78,19 @@ STEPS = [
     ["evaluate", "--system", "run_baseline", "--system", "run_oracle", "--system", "run_long",
      "--gold", "nsc/nsc.jsonl", "--ppl-model", "models_long", "--out", "eval_nsc"],
     ["evaluate", "--system", "run_seg", "--gold", "seg/seg.jsonl", "--out", "eval_seg"],
+    # every way of building training items, short, at criterion 10's epochs
+    ["train-coins", "--nsc", "silver_b1/nsc.jsonl", "--rules", "silver",
+     "--vocab", "vocab/vocab.json", "--config", "config.json", "--out", "models_silver"],
+    ["train-coins", "--nsc", "nsc/nsc.jsonl", "--glucose", "corpus/glucose.jsonl",
+     "--vocab", "vocab/vocab.json", "--ablation-mix", 0.5, "--config", "config.json",
+     "--out", "models_mix"],
+    ["train-coins", "--nsc", "nsc/nsc.jsonl", "--glucose", "corpus/glucose.jsonl",
+     "--vocab", "vocab/vocab.json", "--dynamic-rules", "--config", "config.json",
+     "--out", "models_dynamic"],
+    ["train-coins", "--seg", "seg/seg.jsonl", "--glucose", "corpus/glucose.jsonl",
+     "--vocab", "vocab/vocab.json", "--config", "config.json", "--out", "models_seg"],
+    ["train-csi", "--nsc", "nsc/nsc.jsonl", "--glucose", "corpus/glucose.jsonl",
+     "--vocab", "vocab/vocab.json", "--flavor", "sr", "--config", "config.json", "--out", "csi_sr"],
 ]
 SKIPPED = {"run_config.json", "manifest.json", "config.json", "long.json"}
 

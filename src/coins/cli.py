@@ -49,7 +49,7 @@ from .data.corpus import (
 )
 from .data.serialize import FIELD_SEP, MODE_NO_IR_WO_SE, MODE_ORACLE, MODE_SEG
 from .data.silver import enrich_with_silver
-from .data.types import Flavor, initial_state
+from .data.types import Flavor, NscExample, SegExample, initial_state
 from .data import synthetic
 from .decode import DecodeConfig
 from .errors import CoinsError, ConfigError, MissingInputError, SchemaError
@@ -102,7 +102,9 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     p = _require_file(path)
     try:
-        cfg = json.loads(p.read_text())
+        cfg = json.loads(p.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{p}: config is not UTF-8 text") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"{p}: invalid config JSON ({e.msg})") from e
     if not isinstance(cfg, dict):
@@ -215,11 +217,11 @@ def synth_corpus(out, n_stories, seed, force):
 def import_glucose(rules_path, fmt, out, force):
     """Normalize third-party rule annotations into the canonical JSONL."""
     src = _require_file(rules_path)
-    out_dir = _prepare_out(out, "import-glucose", {"rules": str(src), "format": fmt}, force)
     if fmt == "jsonl":
         records = read_glucose(src)
     else:
         records = import_glucose_delimited(src, delimiter="\t" if fmt == "tsv" else ",")
+    out_dir = _prepare_out(out, "import-glucose", {"rules": str(src), "format": fmt}, force)
     write_glucose(out_dir / "glucose.jsonl", records)
     click.echo(f"imported {len(records)} rules")
 
@@ -482,9 +484,7 @@ def complete(nsc_path, seg_path, models_dir, mode, beam, max_sentence_tokens, ma
             raise ConfigError(f"mode {mode} needs --nsc")
         examples = read_nsc(_require_file(nsc_path))
         if mode == MODE_ORACLE:
-            missing = [ex.id for ex in examples
-                       if not ex.silver_rules
-                       or set(ex.silver_rules) != set(range(1, len(ex.targets) + 1))]
+            missing = [ex.id for ex in examples if ex.silver_rules is None]
             if missing:
                 raise SchemaError(f"oracle mode needs silver rules on every example; missing for {missing[:5]}")
         out_dir = _prepare_out(out, "complete", resolved, force)
@@ -529,13 +529,12 @@ def complete(nsc_path, seg_path, models_dir, mode, beam, max_sentence_tokens, ma
     click.echo(f"completed {len(rows)} examples in mode {mode}")
 
 
-def _gold_references(gold_path: Path) -> dict[str, list[str]]:
+def _read_gold(gold_path: Path) -> list[NscExample] | list[SegExample]:
+    """A gold corpus, read as NSC or SEG by the shape of its first row."""
     first = next((row for _, row in read_jsonl(gold_path)), None)
     if first is None:
         raise SchemaError(f"{gold_path}: empty corpus")
-    if "targets" in first:
-        return {ex.id: [" ".join(ex.targets)] for ex in read_nsc(gold_path)}
-    return {ex.id: [ex.target] for ex in read_seg(gold_path)}
+    return read_nsc(gold_path) if "targets" in first else read_seg(gold_path)
 
 
 @main.command("evaluate")
@@ -551,7 +550,9 @@ def _gold_references(gold_path: Path) -> dict[str, list[str]]:
 @_wrap_errors
 def evaluate(system_dirs, gold_path, ppl_model_dir, kappa_csv, out, force):
     """Score completions against gold: BLEU-1/2, ROUGE-L, Distinct-2/3."""
-    gold = _gold_references(_require_file(gold_path))
+    examples = _read_gold(_require_file(gold_path))
+    gold = {ex.id: [ex.target if isinstance(ex, SegExample) else " ".join(ex.targets)]
+            for ex in examples}
     runs = []
     for d in system_dirs:
         path = _require_file(Path(d) / "completions.jsonl")
@@ -564,7 +565,6 @@ def evaluate(system_dirs, gold_path, ppl_model_dir, kappa_csv, out, force):
     ppl = None
     if ppl_model_dir is not None:
         models, vocab, _ = _load_models(Path(ppl_model_dir))
-        examples = read_nsc(_require_file(gold_path))
         seqs = build_baseline_seqs(examples, vocab)
         value = float(np.exp(corpus_nll(models.sentence.params, models.sentence.config, seqs)))
         ppl = [value] * len(runs)

@@ -214,6 +214,8 @@ def _run_loop(
     example_id: str,
     silver_rules: dict[int, SilverPair] | None = None,
 ) -> tuple[list[str], RuleMemory, GenerationTrace]:
+    if models.csi is None and mode not in (MODE_ORACLE, MODE_NO_IR_WO_SE):
+        raise SchemaError(f"mode {mode} needs a rule model")
     memory = RuleMemory(max_rule_tokens=cfg.max_rule_tokens, hidden=models.sentence.config.hidden)
     trace = GenerationTrace(example_id=example_id, mode=mode)
     generated: list[str] = []
@@ -222,13 +224,8 @@ def _run_loop(
         csi_inputs: dict[str, str] = {}
         try:
             if mode == MODE_ORACLE:
-                if silver_rules is None or it not in silver_rules:
-                    raise SchemaError(f"oracle mode: no provided rules for iteration {it}")
-                pair = silver_rules[it]
-                effect, cause = pair.effect.texts, pair.cause.texts
+                effect, cause = silver_rules[it].effect.texts, silver_rules[it].cause.texts
             elif mode == MODE_SEG:
-                if models.csi is None:
-                    raise SchemaError("rule model required for SEG runs")
                 effect, eff_prompt = gen_inference_rules(
                     models.csi, vocab, state, state.current_sentence, RelationType.EFFECT, cfg
                 )
@@ -237,8 +234,6 @@ def _run_loop(
             elif mode == MODE_NO_IR_WO_SE:
                 effect, cause = [], []
             elif cfg.rule_scope == "all":
-                if models.csi is None:
-                    raise SchemaError("rule model required unless running oracle or rule-free modes")
                 effect, cause = [], []
                 for pos, sent in enumerate([*state.prefix, state.ending], start=1):
                     e, ep = gen_inference_rules(models.csi, vocab, state, sent,
@@ -250,8 +245,6 @@ def _run_loop(
                     csi_inputs[f"effect_{pos}"] = ep
                     csi_inputs[f"cause_{pos}"] = cp
             else:
-                if models.csi is None:
-                    raise SchemaError("rule model required unless running oracle or rule-free modes")
                 effect, eff_prompt = gen_inference_rules(
                     models.csi, vocab, state, state.current_sentence, RelationType.EFFECT, cfg
                 )
@@ -285,8 +278,6 @@ def _run_loop(
                 )
             )
             state = state.with_sentence(sentence) if sentence else state
-        except SchemaError:
-            raise
         except Exception as e:  # partial trace with an error marker
             log.exception("iteration %d failed for %s", it, example_id)
             trace.records.append(
@@ -322,15 +313,17 @@ def run_ablation(
 
     Rule decoding always sees the intact context (Cause rules are still
     grounded in the ending); only the sentence model's input drops parts.
-    Oracle mode reads ``silver_rules`` in place of rule decodes.
+    Oracle mode reads the rule pair ``silver_rules[i]`` (gold or silver) in
+    place of rule decodes at iteration i.
     """
     if mode not in ABLATION_MODES:
         raise ValueError(f"unknown ablation mode {mode!r}; expected one of {ABLATION_MODES}")
     if n_sentences < 4:
         raise ValueError(f"need n >= 4 sentences, got {n_sentences}")
-    if mode == MODE_ORACLE and silver_rules is None:
-        raise SchemaError("oracle mode requires provided rules")
-    return _run_loop(models, vocab, state, n_sentences - 3, cfg, mode, example_id, silver_rules)
+    n_iterations = n_sentences - 3
+    if mode == MODE_ORACLE and not set(range(1, n_iterations + 1)) <= set(silver_rules or ()):
+        raise SchemaError(f"oracle mode needs a rule pair for each of iterations 1..{n_iterations}")
+    return _run_loop(models, vocab, state, n_iterations, cfg, mode, example_id, silver_rules)
 
 
 def run_seg(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
-from pathlib import Path
+import re
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -17,13 +17,13 @@ import numpy as np
 from ..errors import SchemaError
 from ..files import atomic_open
 from ..vocab import escape_specials
-from .rules import parse_rule, render_rule
+from .rules import parse_rule
 from .types import (
     Flavor,
     GlucoseRecord,
     NscExample,
+    SEPARATOR,
     RelationType,
-    RuleBundle,
     SegExample,
     SilverPair,
     Story,
@@ -31,8 +31,6 @@ from .types import (
 )
 
 log = logging.getLogger(__name__)
-
-SEPARATOR_FIELD = "[SEP]"
 
 
 def build_nsc(story: Story) -> NscExample | None:
@@ -81,30 +79,37 @@ def split_by_story_id(stories: list[Story], dev_fraction: float, seed: int) -> t
 # JSONL
 
 
-def read_jsonl(path) -> Iterator[tuple[int, dict]]:
-    """(line number, object) for every non-blank line; a line that is not
-    UTF-8 text holding a JSON object raises SchemaError naming the file
+def _text_lines(path) -> Iterator[tuple[int, str]]:
+    """(line number, line) for every non-blank line of a text file, newline
+    removed; a line that is not UTF-8 raises SchemaError naming the file
     and line."""
     # undecodable bytes become lone surrogates, which UTF-8 cannot encode
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             if not line.isascii():
                 try:
                     line.encode("utf-8")
                 except UnicodeEncodeError as e:
                     raise SchemaError(f"{path}:{lineno}: not UTF-8 text") from e
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise SchemaError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
-            except (ValueError, RecursionError) as e:  # an overlong integer, too deep a nesting
-                raise SchemaError(f"{path}:{lineno}: invalid JSON ({e})") from e
-            if not isinstance(row, dict):
-                raise SchemaError(f"{path}:{lineno}: expected an object per line")
-            yield lineno, row
+            yield lineno, line.rstrip("\n")
+
+
+def read_jsonl(path) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for every non-blank line; a line that is not
+    UTF-8 text holding a JSON object raises SchemaError naming the file
+    and line."""
+    for lineno, line in _text_lines(path):
+        try:
+            row = json.loads(line.strip())
+        except json.JSONDecodeError as e:
+            raise SchemaError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
+        except (ValueError, RecursionError) as e:  # an overlong integer, too deep a nesting
+            raise SchemaError(f"{path}:{lineno}: invalid JSON ({e})") from e
+        if not isinstance(row, dict):
+            raise SchemaError(f"{path}:{lineno}: expected an object per line")
+        yield lineno, row
 
 
 def write_jsonl(path, rows: Iterable[dict]) -> None:
@@ -120,39 +125,52 @@ def require(row: dict, keys: list[str], where: str) -> None:
         raise SchemaError(f"{where}: missing fields {missing}")
 
 
+def _strings(value, where: str) -> list[str]:
+    """``value`` if it is a list of strings; SchemaError at ``where`` if not."""
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise SchemaError(f"{where}: expected a list of strings")
+    return value
+
+
+def story_from_row(row: dict, where: str) -> Story:
+    require(row, ["id", "sentences"], where)
+    if not isinstance(row["sentences"], list):
+        raise SchemaError(f"{where}: 'sentences' must be a list")
+    try:
+        return Story(id=str(row["id"]), sentences=tuple(escape_specials(str(s)) for s in row["sentences"]))
+    except SchemaError as e:
+        raise SchemaError(f"{where}: {e}") from e
+
+
 def read_stories(path) -> list[Story]:
-    out = []
-    for lineno, row in read_jsonl(path):
-        require(row, ["id", "sentences"], f"{path}:{lineno}")
-        if not isinstance(row["sentences"], list):
-            raise SchemaError(f"{path}:{lineno}: 'sentences' must be a list")
-        out.append(
-            Story(id=str(row["id"]), sentences=tuple(escape_specials(str(s)) for s in row["sentences"]))
-        )
-    return out
+    return [story_from_row(row, f"{path}:{lineno}") for lineno, row in read_jsonl(path)]
 
 
 def write_stories(path, stories: Iterable[Story]) -> None:
     write_jsonl(path, ({"id": s.id, "sentences": list(s.sentences)} for s in stories))
 
 
+_GLUCOSE_FIELDS = ["story_id", "sentence_index", "dimension", "specific", "general"]
+
+
+def glucose_from_row(row: dict, where: str) -> GlucoseRecord:
+    """The one GlucoseRecord constructor for outside input, JSONL or
+    delimited."""
+    require(row, _GLUCOSE_FIELDS, where)
+    try:
+        return GlucoseRecord(
+            story_id=str(row["story_id"]),
+            sentence_index=int(row["sentence_index"]),
+            dimension=int(row["dimension"]),
+            specific=parse_rule(escape_specials(str(row["specific"]))),
+            general=parse_rule(escape_specials(str(row["general"]))),
+        )
+    except (TypeError, ValueError, OverflowError, SchemaError) as e:
+        raise SchemaError(f"{where}: {e}") from e
+
+
 def read_glucose(path) -> list[GlucoseRecord]:
-    out = []
-    for lineno, row in read_jsonl(path):
-        require(row, ["story_id", "sentence_index", "dimension", "specific", "general"], f"{path}:{lineno}")
-        try:
-            out.append(
-                GlucoseRecord(
-                    story_id=str(row["story_id"]),
-                    sentence_index=int(row["sentence_index"]),
-                    dimension=int(row["dimension"]),
-                    specific=parse_rule(escape_specials(str(row["specific"]))),
-                    general=parse_rule(escape_specials(str(row["general"]))),
-                )
-            )
-        except (TypeError, ValueError) as e:
-            raise SchemaError(f"{path}:{lineno}: {e}") from e
-    return out
+    return [glucose_from_row(row, f"{path}:{lineno}") for lineno, row in read_jsonl(path)]
 
 
 def write_glucose(path, records: Iterable[GlucoseRecord]) -> None:
@@ -178,73 +196,66 @@ def import_glucose_delimited(path, delimiter: str = "\t") -> list[GlucoseRecord]
     A header row naming the first column 'story_id' is tolerated.
     """
     out = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            cols = line.split(delimiter)
-            if lineno == 1 and cols and cols[0].strip().lower() == "story_id":
-                continue
-            if len(cols) < 5:
-                raise SchemaError(f"{path}:{lineno}: expected 5 columns, got {len(cols)}")
-            try:
-                out.append(
-                    GlucoseRecord(
-                        story_id=cols[0].strip(),
-                        sentence_index=int(cols[1]),
-                        dimension=int(cols[2]),
-                        specific=parse_rule(escape_specials(cols[3].strip())),
-                        general=parse_rule(escape_specials(cols[4].strip())),
-                    )
-                )
-            except ValueError as e:
-                raise SchemaError(f"{path}:{lineno}: {e}") from e
+    for lineno, line in _text_lines(path):
+        cols = line.split(delimiter)
+        if lineno == 1 and cols[0].strip().lower() == "story_id":
+            continue
+        if len(cols) < 5:
+            raise SchemaError(f"{path}:{lineno}: expected 5 columns, got {len(cols)}")
+        out.append(glucose_from_row(dict(zip(_GLUCOSE_FIELDS, (c.strip() for c in cols))), f"{path}:{lineno}"))
     return out
-
-
-def _bundle_to_texts(bundle: RuleBundle) -> list[str]:
-    return [render_rule(rt) for _, rt in bundle.rules]
 
 
 def nsc_to_row(ex: NscExample) -> dict:
     row: dict = {
         "id": ex.id,
-        "context": [ex.beginning[0], ex.beginning[1], SEPARATOR_FIELD, ex.ending],
+        "context": list(ex.context),
         "targets": list(ex.targets),
     }
     if ex.silver_rules is not None:
         row["silver_rules"] = {
-            str(i): {
-                "effect": _bundle_to_texts(pair.effect),
-                "cause": _bundle_to_texts(pair.cause),
-            }
+            str(i): {"effect": pair.effect.texts, "cause": pair.cause.texts}
             for i, pair in sorted(ex.silver_rules.items())
         }
     return row
 
 
+_ITERATION_KEY = re.compile(r"[1-9][0-9]{0,8}")
+
+
+def _silver_pairs(silver, where: str, flavor: Flavor) -> dict[int, SilverPair]:
+    """An NSC row's ``silver_rules`` object, checked to be keyed by
+    iteration numbers with ``effect`` and ``cause`` lists of strings."""
+    if not isinstance(silver, dict):
+        raise SchemaError(f"{where}: silver_rules must be an object")
+    pairs = {}
+    for key, pair in silver.items():
+        at = f"{where}: silver_rules[{key!r}]"
+        if not _ITERATION_KEY.fullmatch(key):
+            raise SchemaError(f"{at}: key must be an iteration number")
+        if not isinstance(pair, dict):
+            raise SchemaError(f"{at}: expected an object")
+        require(pair, ["effect", "cause"], at)
+        pairs[int(key)] = SilverPair(
+            effect=bundle_from_texts(_strings(pair["effect"], f"{at}.effect"), RelationType.EFFECT, flavor),
+            cause=bundle_from_texts(_strings(pair["cause"], f"{at}.cause"), RelationType.CAUSE, flavor),
+        )
+    return pairs
+
+
 def nsc_from_row(row: dict, where: str, flavor: Flavor = Flavor.GENERAL) -> NscExample:
     require(row, ["id", "context", "targets"], where)
     ctx = row["context"]
-    if not (isinstance(ctx, list) and len(ctx) == 4 and ctx[2] == SEPARATOR_FIELD):
-        raise SchemaError(f"{where}: context must be [s1, s2, '{SEPARATOR_FIELD}', s_n]")
-    silver = None
-    if "silver_rules" in row and row["silver_rules"] is not None:
-        silver = {}
-        for key, pair in row["silver_rules"].items():
-            require(pair, ["effect", "cause"], f"{where} silver_rules[{key}]")
-            silver[int(key)] = SilverPair(
-                effect=bundle_from_texts(pair["effect"], RelationType.EFFECT, flavor),
-                cause=bundle_from_texts(pair["cause"], RelationType.CAUSE, flavor),
-            )
-    return NscExample(
-        id=str(row["id"]),
-        beginning=(str(ctx[0]), str(ctx[1])),
-        ending=str(ctx[3]),
-        targets=tuple(str(t) for t in row["targets"]),
-        silver_rules=silver,
-    )
+    if not (isinstance(ctx, list) and len(ctx) == 4 and ctx[2] == SEPARATOR):
+        raise SchemaError(f"{where}: context must be [s1, s2, '{SEPARATOR}', s_n]")
+    targets = tuple(_strings(row["targets"], f"{where}: targets"))
+    silver = row.get("silver_rules")
+    silver = None if silver is None else _silver_pairs(silver, where, flavor)
+    try:
+        return NscExample(id=str(row["id"]), beginning=(str(ctx[0]), str(ctx[1])), ending=str(ctx[3]),
+                          targets=targets, silver_rules=silver)
+    except SchemaError as e:
+        raise SchemaError(f"{where}: {e}") from e
 
 
 def read_nsc(path, flavor: Flavor = Flavor.GENERAL) -> list[NscExample]:
@@ -255,15 +266,16 @@ def write_nsc(path, examples: Iterable[NscExample]) -> None:
     write_jsonl(path, (nsc_to_row(ex) for ex in examples))
 
 
+def seg_from_row(row: dict, where: str) -> SegExample:
+    require(row, ["id", "context", "target"], where)
+    ctx = row["context"]
+    if not (isinstance(ctx, list) and len(ctx) == 4):
+        raise SchemaError(f"{where}: SEG context must be 4 sentences")
+    return SegExample(id=str(row["id"]), context=tuple(str(s) for s in ctx), target=str(row["target"]))
+
+
 def read_seg(path) -> list[SegExample]:
-    out = []
-    for lineno, row in read_jsonl(path):
-        require(row, ["id", "context", "target"], f"{path}:{lineno}")
-        ctx = row["context"]
-        if not (isinstance(ctx, list) and len(ctx) == 4):
-            raise SchemaError(f"{path}:{lineno}: SEG context must be 4 sentences")
-        out.append(SegExample(id=str(row["id"]), context=tuple(str(s) for s in ctx), target=str(row["target"])))
-    return out
+    return [seg_from_row(row, f"{path}:{lineno}") for lineno, row in read_jsonl(path)]
 
 
 def write_seg(path, examples: Iterable[SegExample]) -> None:
@@ -272,24 +284,26 @@ def write_seg(path, examples: Iterable[SegExample]) -> None:
 
 def corpus_text_lines(path) -> list[str]:
     """All natural-language strings in a stories/nsc/seg/glucose JSONL file,
-    for vocabulary training."""
-    path = Path(path)
+    as written, for vocabulary training. Each row must pass its reader's
+    checks."""
     lines: list[str] = []
-    for _, row in read_jsonl(path):
+    for lineno, row in read_jsonl(path):
+        where = f"{path}:{lineno}"
         if "sentences" in row:
-            lines.extend(str(s) for s in row["sentences"])
+            story_from_row(row, where)
+            texts = row["sentences"]
         elif "targets" in row:
-            lines.extend(str(s) for s in row["context"] if s != SEPARATOR_FIELD)
-            lines.extend(str(t) for t in row["targets"])
+            nsc_from_row(row, where)
+            texts = [s for s in row["context"] if s != SEPARATOR] + row["targets"]
             for pair in (row.get("silver_rules") or {}).values():
-                lines.extend(str(r) for r in pair.get("effect", []))
-                lines.extend(str(r) for r in pair.get("cause", []))
+                texts += pair["effect"] + pair["cause"]
         elif "target" in row:
-            lines.extend(str(s) for s in row["context"])
-            lines.append(str(row["target"]))
+            seg_from_row(row, where)
+            texts = [*row["context"], row["target"]]
         elif "specific" in row:
-            lines.append(str(row["specific"]))
-            lines.append(str(row["general"]))
+            glucose_from_row(row, where)
+            texts = [row["specific"], row["general"]]
         else:
-            raise SchemaError(f"{path}: unrecognized record shape for vocab training")
+            raise SchemaError(f"{where}: unrecognized record shape for vocab training")
+        lines.extend(str(t) for t in texts)
     return lines

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from typing import Iterable
 
-from .types import Flavor, GlucoseRecord, RelationType, RuleBundle, RuleText
+from .types import Flavor, GlucoseRecord, NscExample, RelationType, RuleBundle, RuleText, SilverPair
 
 # canonical connective spellings, matched case-insensitively with loose spacing;
 # longest-first so "causes/enables" wins over "causes"
@@ -82,3 +83,31 @@ def aggregate_rules(
         rules=tuple((r.dimension, r.rule(flavor)) for r in picked),
         flavor=flavor,
     )
+
+
+def by_story(records: Iterable[GlucoseRecord]) -> dict[str, list[GlucoseRecord]]:
+    """Records grouped by story id, each group in input order."""
+    grouped: dict[str, list[GlucoseRecord]] = defaultdict(list)
+    for r in records:
+        grouped[r.story_id].append(r)
+    return grouped
+
+
+def gold_rule_pairs(
+    examples: list[NscExample],
+    records: Iterable[GlucoseRecord],
+    flavor: Flavor,
+) -> list[dict[int, SilverPair]]:
+    """Each example's gold rule pair per 1-based iteration: at iteration i,
+    the Effect rules of the current sentence s_{i+1} and the Cause rules of
+    the ending s_n."""
+    grouped = by_story(records)
+    pairs = []
+    for ex in examples:
+        recs = grouped.get(ex.id, [])
+        cause = aggregate_rules(recs, ex.n_sentences, RelationType.CAUSE, flavor)
+        pairs.append({
+            it: SilverPair(effect=aggregate_rules(recs, it + 1, RelationType.EFFECT, flavor), cause=cause)
+            for it in range(1, len(ex.targets) + 1)
+        })
+    return pairs

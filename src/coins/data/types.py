@@ -120,6 +120,9 @@ def bundle_from_texts(texts, relation: RelationType, flavor: Flavor) -> RuleBund
 
 @dataclass(frozen=True)
 class SilverPair:
+    """One iteration's rule pair, gold or silver: the Effect rules of the
+    current sentence and the Cause rules of the ending."""
+
     effect: RuleBundle
     cause: RuleBundle
 
@@ -137,6 +140,9 @@ class NscExample:
     def __post_init__(self):
         if len(self.beginning) != 2 or not self.targets:
             raise SchemaError(f"example {self.id!r}: needs 2 beginning sentences and >=1 target")
+        if self.silver_rules is not None and set(self.silver_rules) != set(range(1, len(self.targets) + 1)):
+            raise SchemaError(f"example {self.id!r}: silver_rules must hold iterations 1..{len(self.targets)}, "
+                              f"got {list(self.silver_rules)}")
 
     @property
     def n_sentences(self) -> int:

@@ -1,4 +1,4 @@
-"""Greedy and beam-search decoding over any batched next-token log-prob source.
+"""Beam-search decoding (greedy at width 1) over any batched next-token log-prob source.
 
 The decoder only needs a callable ``logprob_fn(batch) -> (n, V)
 log-probs``, called once per step with the ids of every live hypothesis
@@ -113,11 +113,6 @@ def beam_search(logprob_fn: LogprobFn, prefix: Sequence[int], config: DecodeConf
     n_gen = len(best.ids) - len(prefix)
     score = best.logprob / max(1, n_gen) if config.length_normalization else best.logprob
     return DecodeResult(ids=list(best.ids), score=score, finished=best.finished, n_generated=n_gen)
-
-
-def greedy(logprob_fn: LogprobFn, prefix: Sequence[int], config: DecodeConfig) -> DecodeResult:
-    """Width-1 beam: argmax token each step, ties to the lowest token id."""
-    return beam_search(logprob_fn, prefix, dataclasses.replace(config, beam_width=1))
 
 
 def lm_logprob_fn(lm: Lm) -> LogprobFn:

@@ -9,14 +9,13 @@ context at inference time.
 from __future__ import annotations
 
 import logging
-from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import tensor as T
-from .data.rules import aggregate_rules
+from .data.rules import aggregate_rules, by_story, gold_rule_pairs
 from .data.serialize import (
     MODE_FULL,
     MODE_IR_ONLY,
@@ -34,6 +33,7 @@ from .data.types import (
     NscExample,
     RelationType,
     SegExample,
+    SilverPair,
     StoryState,
     initial_state,
     teacher_state,
@@ -73,75 +73,26 @@ def _encode_pair(prompt: str, full: str, vocab: Vocab) -> TrainSeq:
     return make_train_seq(prompt_ids, full_ids[len(prompt_ids) :])
 
 
-def _by_story(records: list[GlucoseRecord]) -> dict[str, list[GlucoseRecord]]:
-    """Gold records grouped by story id, each group in input order, so that
-    building a corpus's items scans the records once, not once per item."""
-    grouped: dict[str, list[GlucoseRecord]] = defaultdict(list)
-    for r in records:
-        grouped[r.story_id].append(r)
-    return grouped
+def _rule_seq(state: StoryState, selected: str, relation: RelationType, rules: list[str],
+              vocab: Vocab) -> TrainSeq:
+    """The rule model's sequence for one relation of one selected sentence."""
+    line = serialize_csi_example(state, selected, relation, rules)
+    return _encode_pair(csi_source(state, selected, relation), line, vocab)
 
 
-def iteration_rules(
-    example: NscExample,
-    iteration: int,
-    relation: RelationType,
-    flavor: Flavor,
-    records: list[GlucoseRecord] | None,
-    use_silver: bool,
-) -> list[str]:
-    """Rules for one iteration, from the example's silver rules or from gold
-    annotations: Effect rules attach to the current sentence, Cause rules to
-    the ending sentence. ``records`` may hold other stories' records too;
-    only the example's own are read."""
-    if use_silver:
-        if not example.silver_rules or iteration not in example.silver_rules:
-            raise SchemaError(f"example {example.id!r}: no silver rules for iteration {iteration}")
-        pair = example.silver_rules[iteration]
-        return (pair.effect if relation is RelationType.EFFECT else pair.cause).texts
-    if records is None:
-        raise ConfigError("gold rule records required when not training on silver rules")
-    story_records = [r for r in records if r.story_id == example.id]
-    index = (iteration + 1) if relation is RelationType.EFFECT else example.n_sentences
-    return aggregate_rules(story_records, index, relation, flavor).texts
-
-
-def build_csi_seqs(
-    example: NscExample,
-    iteration: int,
-    vocab: Vocab,
-    flavor: Flavor,
-    records: list[GlucoseRecord] | None,
-    use_silver: bool = False,
-) -> tuple[TrainSeq, TrainSeq]:
-    """(effect_seq, cause_seq) for one iteration of one example."""
+def build_csi_seqs(example: NscExample, iteration: int, vocab: Vocab,
+                   pair: SilverPair) -> tuple[TrainSeq, TrainSeq]:
+    """(effect_seq, cause_seq) for one iteration of one example: Effect
+    rules of the current sentence, Cause rules of the ending."""
     state = teacher_state(example, iteration)
-    out = []
-    for relation, selected in (
-        (RelationType.EFFECT, state.current_sentence),
-        (RelationType.CAUSE, example.ending),
-    ):
-        rules = iteration_rules(example, iteration, relation, flavor, records, use_silver)
-        prompt = csi_source(state, selected, relation)
-        line = serialize_csi_example(state, selected, relation, rules)
-        out.append(_encode_pair(prompt, line, vocab))
-    return out[0], out[1]
+    return (_rule_seq(state, state.current_sentence, RelationType.EFFECT, pair.effect.texts, vocab),
+            _rule_seq(state, example.ending, RelationType.CAUSE, pair.cause.texts, vocab))
 
 
-def build_sentence_seq(
-    example: NscExample,
-    iteration: int,
-    vocab: Vocab,
-    flavor: Flavor,
-    records: list[GlucoseRecord] | None,
-    use_silver: bool = False,
-    mode: str = MODE_FULL,
-) -> TrainSeq:
+def build_sentence_seq(example: NscExample, iteration: int, vocab: Vocab, pair: SilverPair,
+                       mode: str = MODE_FULL) -> TrainSeq:
     state = teacher_state(example, iteration)
-    rules: list[str] = []
-    if mode != MODE_NO_IR_WO_SE:
-        rules = iteration_rules(example, iteration, RelationType.EFFECT, flavor, records, use_silver)
-        rules += iteration_rules(example, iteration, RelationType.CAUSE, flavor, records, use_silver)
+    rules = [] if mode == MODE_NO_IR_WO_SE else pair.effect.texts + pair.cause.texts
     prompt, line = sentence_example(join_rules(rules), state, example.targets[iteration - 1], mode=mode)
     return _encode_pair(prompt, line, vocab)
 
@@ -155,7 +106,8 @@ def build_joint_items(
     ablation_mix: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> list[JointItem]:
-    """All teacher-forced iterations of a corpus.
+    """All teacher-forced iterations of a corpus, on each example's silver
+    rule pairs or on the gold pairs of ``records``.
 
     ``ablation_mix`` > 0 appends that fraction of extra sentence-model
     items in the reduced-input serializations (rules-only, no-ending,
@@ -164,19 +116,26 @@ def build_joint_items(
     """
     if ablation_mix and rng is None:
         raise ConfigError("ablation_mix needs an rng")
+    if use_silver:
+        missing = [ex.id for ex in examples if ex.silver_rules is None]
+        if missing:
+            raise SchemaError(f"no silver rules for examples {missing[:5]}")
+        rule_pairs = [ex.silver_rules for ex in examples]
+    elif records is None:
+        raise ConfigError("gold rule records required when not training on silver rules")
+    else:
+        rule_pairs = gold_rule_pairs(examples, records, flavor)
     items: list[JointItem] = []
     extras: list[JointItem] = []
     variants = (MODE_IR_ONLY, MODE_IR_WO_SE, MODE_NO_IR_WO_SE)
-    by_story = _by_story(records or [])
-    for ex in examples:
-        recs = None if records is None else by_story[ex.id]
+    for ex, pairs in zip(examples, rule_pairs):
         for it in range(1, len(ex.targets) + 1):
-            eff, cau = build_csi_seqs(ex, it, vocab, flavor, recs, use_silver)
-            sent = build_sentence_seq(ex, it, vocab, flavor, recs, use_silver)
+            eff, cau = build_csi_seqs(ex, it, vocab, pairs[it])
+            sent = build_sentence_seq(ex, it, vocab, pairs[it])
             items.append(JointItem(sentence_seq=sent, effect_seq=eff, cause_seq=cau))
             if ablation_mix and rng.random() < ablation_mix:
                 mode = variants[int(rng.integers(len(variants)))]
-                alt = build_sentence_seq(ex, it, vocab, flavor, recs, use_silver, mode=mode)
+                alt = build_sentence_seq(ex, it, vocab, pairs[it], mode=mode)
                 extras.append(JointItem(sentence_seq=alt, effect_seq=eff, cause_seq=cau))
     return items + extras
 
@@ -189,18 +148,25 @@ def build_rule_seqs(
 ) -> list[TrainSeq]:
     """The Effect then the Cause sequence of every iteration, from gold
     rules: the training set of a rule model trained on its own."""
-    by_story = _by_story(records)
     seqs: list[TrainSeq] = []
-    for ex in examples:
+    for ex, pairs in zip(examples, gold_rule_pairs(examples, records, flavor)):
         for it in range(1, len(ex.targets) + 1):
-            seqs.extend(build_csi_seqs(ex, it, vocab, flavor, by_story[ex.id]))
+            seqs.extend(build_csi_seqs(ex, it, vocab, pairs[it]))
     return seqs
 
 
-def build_baseline_seqs(examples: list[NscExample], vocab: Vocab) -> list[TrainSeq]:
+def build_baseline_seqs(examples: list[NscExample] | list[SegExample], vocab: Vocab) -> list[TrainSeq]:
+    """The rule-free prompt and gold continuation of every example: an NSC
+    example's middles after its beginning and ending, or a SEG example's
+    ending after its four context sentences (the state ``run_seg`` starts
+    from)."""
     out = []
     for ex in examples:
-        prompt, line = baseline_example(initial_state(ex), ex.targets)
+        if isinstance(ex, SegExample):
+            state, targets = StoryState(prefix=ex.context, ending=""), (ex.target,)
+        else:
+            state, targets = initial_state(ex), ex.targets
+        prompt, line = baseline_example(state, targets)
         out.append(_encode_pair(prompt, line, vocab))
     return out
 
@@ -225,12 +191,11 @@ def decoded_rule_items(
     csi = Lm(params=beta, config=config_beta, role=role)
     cfg = DecodeConfig(beam_width=1, max_new_tokens=max_rule_tokens, stop_token=vocab.eos)
     enriched = enrich_with_silver(csi, examples, vocab, flavor, decode_cfg=cfg)
-    by_story = _by_story(records)
     items = []
-    for ex, silver_ex in zip(examples, enriched):
+    for ex, gold, silver_ex in zip(examples, gold_rule_pairs(examples, records, flavor), enriched):
         for it in range(1, len(ex.targets) + 1):
-            eff, cau = build_csi_seqs(ex, it, vocab, flavor, by_story[ex.id])
-            sent = build_sentence_seq(silver_ex, it, vocab, flavor, None, use_silver=True)
+            eff, cau = build_csi_seqs(ex, it, vocab, gold[it])
+            sent = build_sentence_seq(ex, it, vocab, silver_ex.silver_rules[it])
             items.append(JointItem(sentence_seq=sent, effect_seq=eff, cause_seq=cau))
     return items
 
@@ -243,21 +208,14 @@ def build_seg_items(
 ) -> list[JointItem]:
     """SEG trains on one iteration per story: Effect rules for the last
     context sentence; the Cause sequence degenerates to an empty target."""
-    by_story = _by_story(records)
+    grouped = by_story(records)
     items = []
     for ex in examples:
         state = StoryState(prefix=ex.context, ending="")
-        rules = aggregate_rules(by_story[ex.id], 4, RelationType.EFFECT, flavor).texts
-        eff_prompt = csi_source(state, state.current_sentence, RelationType.EFFECT)
-        eff_line = serialize_csi_example(state, state.current_sentence, RelationType.EFFECT, rules)
+        rules = aggregate_rules(grouped[ex.id], 4, RelationType.EFFECT, flavor).texts
         prompt, line = sentence_example(join_rules(rules), state, ex.target)
-        items.append(
-            JointItem(
-                sentence_seq=_encode_pair(prompt, line, vocab),
-                effect_seq=_encode_pair(eff_prompt, eff_line, vocab),
-                cause_seq=None,
-            )
-        )
+        effect = _rule_seq(state, state.current_sentence, RelationType.EFFECT, rules, vocab)
+        items.append(JointItem(sentence_seq=_encode_pair(prompt, line, vocab), effect_seq=effect, cause_seq=None))
     return items
 
 

@@ -33,15 +33,15 @@ from coins.data.corpus import (
     write_nsc,
     write_stories,
 )
-from coins.data.rules import aggregate_rules, cluster_dimension
+from coins.data.rules import cluster_dimension, gold_rule_pairs
 from coins.data.serialize import (
     MODE_FULL,
     MODE_IR_WO_SE,
     MODE_NO_IR_WO_SE,
     MODE_ORACLE,
 )
-from coins.data.types import Flavor, RelationType, SilverPair, StoryState, initial_state
-from coins.decode import DecodeConfig, beam_search, greedy
+from coins.data.types import Flavor, RelationType, StoryState, initial_state
+from coins.decode import DecodeConfig, beam_search
 from coins.metrics import EvalPair, RatingMatrix, bleu, distinct_n, fleiss_kappa, rouge_l
 from coins.model import Lm, LmConfig, TrainSeq, forward, init_lm, masked_nll
 from coins.tensor import Tensor
@@ -56,7 +56,7 @@ from coins.train import (
 from coins.vocab import train_vocab
 
 from gradcheck import check_tensor_grad
-from test_decode import TabularModel, enumerate_argmax
+from test_decode import TabularModel, enumerate_argmax, stepwise_argmax
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -203,17 +203,6 @@ def test_criterion_3_memorization(memorization_world):
 # criteria 4+5: held-out direction-of-effect orderings over 5 seeds
 
 
-def _gold_pairs(records, ex):
-    recs = [r for r in records if r.story_id == ex.id]
-    return {
-        it: SilverPair(
-            effect=aggregate_rules(recs, it + 1, RelationType.EFFECT, Flavor.GENERAL),
-            cause=aggregate_rules(recs, ex.n_sentences, RelationType.CAUSE, Flavor.GENERAL),
-        )
-        for it in range(1, len(ex.targets) + 1)
-    }
-
-
 @pytest.fixture(scope="module")
 def direction_runs():
     t0 = time.time()
@@ -226,8 +215,9 @@ def direction_runs():
     vocab = train_vocab(lines + [r.general.raw for r in records] + ["#"])
     mcfg = LmConfig(vocab=len(vocab), layers=2, hidden=64, heads=2, max_positions=160, dropout_p=0.0)
 
-    oracle_eval = [build_sentence_seq(ex, it, vocab, Flavor.GENERAL, records)
-                   for ex in eval_ex for it in (1, 2)]
+    eval_pairs = gold_rule_pairs(eval_ex, records, Flavor.GENERAL)
+    oracle_eval = [build_sentence_seq(ex, it, vocab, pairs[it])
+                   for ex, pairs in zip(eval_ex, eval_pairs) for it in (1, 2)]
     baseline_train = build_baseline_seqs(train_ex, vocab)
     baseline_eval = build_baseline_seqs(eval_ex, vocab)
     refs = {ex.id: " ".join(ex.targets) for ex in eval_ex}
@@ -255,11 +245,10 @@ def direction_runs():
                                          max_rule_tokens_per_decode=40)
         for mode in (MODE_ORACLE, MODE_FULL, MODE_IR_WO_SE, MODE_NO_IR_WO_SE):
             pairs = []
-            for ex in eval_ex:
+            for ex, gold in zip(eval_ex, eval_pairs):
                 sents, _, _ = run_ablation(
                     mode, models, vocab, initial_state(ex), ex.n_sentences, ccfg,
-                    example_id=ex.id,
-                    silver_rules=_gold_pairs(records, ex) if mode == MODE_ORACLE else None,
+                    example_id=ex.id, silver_rules=gold if mode == MODE_ORACLE else None,
                 )
                 pairs.append(EvalPair(candidate=" ".join(sents), references=(refs[ex.id],)))
             run[f"bleu_{mode}"] = bleu(pairs, max_n=1)
@@ -366,10 +355,12 @@ def test_criterion_8_beam_search():
         rng = np.random.default_rng(seed)
         prefix = tuple(int(t) for t in rng.integers(0, 6, size=rng.integers(1, 5)))
         model = TabularModel(6, len(prefix), seed=seed)
-        cfg = DecodeConfig(beam_width=1, max_new_tokens=4, stop_token=5)
-        assert beam_search(model.batch_logprob_fn, prefix, cfg).ids == greedy(model.batch_logprob_fn, prefix, cfg).ids
+        got = beam_search(model.batch_logprob_fn, prefix,
+                          DecodeConfig(beam_width=1, max_new_tokens=4, stop_token=5))
+        want, want_score = stepwise_argmax(model, prefix, 4, stop_token=5)
+        assert got.ids == want and got.score == pytest.approx(want_score)
     report(8, True, "beam equals enumeration (vocab<=5, len<=3, with and without stop); "
-                    "beam-1 equals greedy on 100 prompts")
+                    "beam-1 equals stepwise argmax on 100 prompts")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ import pytest
 from click.testing import CliRunner
 
 from coins.cli import main
+from coins.data.corpus import read_seg
 from coins.metrics import MetricReport
+from coins.train import build_baseline_seqs
+from coins.vocab import Vocab, encode
 
 
 @pytest.fixture(scope="module")
@@ -147,10 +150,18 @@ def test_seg_complete_and_evaluate(pipeline, tmp_path):
                "--mode", "seg", "--out", tmp_path / "run_seg")
     assert r.exit_code == 0, r.output
     r = invoke(runner, "evaluate", "--system", tmp_path / "run_seg", "--gold", root / "seg/seg.jsonl",
-               "--out", tmp_path / "eval_seg")
+               "--ppl-model", root / "models", "--out", tmp_path / "eval_seg")
     assert r.exit_code == 0, r.output
     report = MetricReport.from_json((tmp_path / "eval_seg/report.json").read_text())
     assert 0.0 <= report.metrics["bleu1"] <= 1.0
+    assert report.metrics["ppl"] > 1.0
+    # perplexity of the gold ending after the rule-free prompt over the
+    # four context sentences
+    vocab = Vocab.load(root / "vocab/vocab.json")
+    seg = read_seg(root / "seg/seg.jsonl")[0]
+    seq = build_baseline_seqs([seg], vocab)[0]
+    assert list(seq.ids[: seq.start]) == encode(f"[SOS] {' '.join(seg.context)} [SEP]", vocab)
+    assert list(seq.ids[seq.start :]) == encode(f"{seg.target} [EOS]", vocab)
 
 
 def test_train_coins_on_seg_corpus(pipeline, tmp_path):
@@ -430,4 +441,58 @@ def test_truncated_vocab_is_schema_error(pipeline, tmp_path):
                "--config", cfg, "--out", tmp_path / "base")
     assert r.exit_code == 4, r.output
     assert "error:" in r.output and "vocab.json" in r.output
+    assert not (tmp_path / "base").exists()
+
+
+def nsc_row_with(root, **fields):
+    """The first NSC example as a JSON line, with silver rules for both
+    iterations and ``fields`` overriding its own."""
+    row = json.loads((root / "nsc/nsc.jsonl").read_text().splitlines()[0])
+    row["silver_rules"] = {str(it): {"effect": ["a >Causes> b"], "cause": []} for it in (1, 2)}
+    return json.dumps({**row, **fields}) + "\n"
+
+
+@pytest.mark.parametrize("fields", [
+    {"silver_rules": {"x": {"effect": [], "cause": []}}},
+    {"silver_rules": [{"effect": [], "cause": []}]},
+    {"silver_rules": {"1": 5, "2": {"effect": [], "cause": []}}},
+    {"silver_rules": {"1": {"effect": "a >Causes> b", "cause": []},
+                      "2": {"effect": [], "cause": []}}},
+    {"silver_rules": {"1": {"effect": [], "cause": []}}},
+    {"targets": 7},
+    {"targets": "abc"},
+], ids=["key", "list", "pair", "rule-string", "missing-iteration", "targets-int", "targets-string"])
+@pytest.mark.parametrize("command", ["complete", "train-vocab"])
+def test_malformed_nsc_rows_are_schema_errors(pipeline, tmp_path, fields, command):
+    root, runner, _ = pipeline
+    nsc = tmp_path / "nsc.jsonl"
+    nsc.write_text(nsc_row_with(root) + nsc_row_with(root, **fields))
+    if command == "complete":
+        r = invoke(runner, "complete", "--nsc", nsc, "--models", root / "models", "--mode", "oracle",
+                   "--out", tmp_path / "run")
+    else:
+        r = invoke(runner, "train-vocab", "--inputs", nsc, "--out", tmp_path / "run")
+    assert r.exit_code == 4, (r.output, r.exception)
+    assert "error:" in r.output and "nsc.jsonl:2" in r.output
+    assert not (tmp_path / "run").exists()
+
+
+def test_import_glucose_undecodable_tsv_is_schema_error(pipeline, tmp_path):
+    _, runner, _ = pipeline
+    src = tmp_path / "rules.tsv"
+    src.write_bytes(b"s1\t2\t6\ta >Enables> b\tA >Enables> B\ns2\t2\t6\ta \xff b\tA b\n")
+    r = invoke(runner, "import-glucose", "--rules", src, "--format", "tsv", "--out", tmp_path / "imported")
+    assert r.exit_code == 4, (r.output, r.exception)
+    assert "error:" in r.output and "rules.tsv:2" in r.output
+    assert not (tmp_path / "imported").exists()
+
+
+def test_undecodable_config_is_config_error(pipeline, tmp_path):
+    root, runner, _ = pipeline
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"train": {"epochs": 1}}\xff')
+    r = invoke(runner, "train-baseline", "--nsc", root / "nsc/nsc.jsonl",
+               "--vocab", root / "vocab/vocab.json", "--config", cfg, "--out", tmp_path / "base")
+    assert r.exit_code == 5, (r.output, r.exception)
+    assert "error:" in r.output and "UTF-8" in r.output
     assert not (tmp_path / "base").exists()

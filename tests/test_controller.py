@@ -10,16 +10,10 @@ from coins.controller import (
     run_ablation,
     run_seg,
 )
-from coins.data.rules import aggregate_rules
+from coins.data.rules import gold_rule_pairs
 from coins.data.corpus import read_jsonl, write_jsonl
 from coins.data.serialize import MODE_FULL, MODE_IR_ONLY, MODE_IR_WO_SE, MODE_NO_IR_WO_SE, MODE_ORACLE
-from coins.data.types import (
-    Flavor,
-    RelationType,
-    SilverPair,
-    StoryState,
-    initial_state,
-)
+from coins.data.types import Flavor, StoryState, initial_state
 from coins.decode import beam_search, lm_logprob_fn
 from coins.errors import SchemaError
 from coins.model import Lm, LmConfig, init_lm
@@ -157,14 +151,7 @@ def test_concat_rules_whole_rule_truncation(untrained):
 
 
 def gold_pairs(world, ex):
-    recs = [r for r in world["records"] if r.story_id == ex.id]
-    out = {}
-    for it in range(1, len(ex.targets) + 1):
-        out[it] = SilverPair(
-            effect=aggregate_rules(recs, it + 1, RelationType.EFFECT, Flavor.GENERAL),
-            cause=aggregate_rules(recs, ex.n_sentences, RelationType.CAUSE, Flavor.GENERAL),
-        )
-    return out
+    return gold_rule_pairs([ex], world["records"], Flavor.GENERAL)[0]
 
 
 def trained_models(world):

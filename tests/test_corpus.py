@@ -2,6 +2,8 @@ import json
 import logging
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coins.data import synthetic
 from coins.data.corpus import (
@@ -9,6 +11,7 @@ from coins.data.corpus import (
     build_nsc_corpus,
     build_seg,
     build_seg_corpus,
+    corpus_text_lines,
     import_glucose_delimited,
     read_glucose,
     read_nsc,
@@ -32,7 +35,7 @@ from coins.data.serialize import (
     serialize_csi_example,
 )
 from coins.data.types import RelationType, SilverPair, Story, StoryState, bundle_from_texts, Flavor, initial_state
-from coins.errors import SchemaError
+from coins.errors import CoinsError, SchemaError
 
 
 def story(n, sid="s0"):
@@ -197,6 +200,58 @@ def test_nsc_round_trip_with_silver(tmp_path):
     assert (tmp_path / "again.jsonl").read_bytes() == p.read_bytes()
 
 
+def test_nsc_example_needs_a_pair_per_iteration():
+    ex = build_nsc(story(5))
+    pair = SilverPair(effect=bundle_from_texts([], RelationType.EFFECT, Flavor.GENERAL),
+                      cause=bundle_from_texts([], RelationType.CAUSE, Flavor.GENERAL))
+    fields = dict(id=ex.id, beginning=ex.beginning, ending=ex.ending, targets=ex.targets)
+    assert type(ex)(**fields, silver_rules={1: pair, 2: pair}).silver_rules[2] == pair
+    for keys in ((1,), (1, 2, 3), (0, 1), (2, 3), ()):
+        with pytest.raises(SchemaError, match="iterations 1..2"):
+            type(ex)(**fields, silver_rules={k: pair for k in keys})
+
+
+# JSON-object fuzzing: every reader either loads a file or raises CoinsError
+
+FIELDS = ["id", "sentences", "context", "targets", "silver_rules", "target", "story_id",
+          "sentence_index", "dimension", "specific", "general", "effect", "cause", "1", "2"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda kids: st.lists(kids, max_size=5)
+    | st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=4), kids, max_size=4),
+    max_leaves=16,
+)
+# valid rows of each kind, so that overriding a few fields reaches the
+# checks behind the first one
+BASE_ROWS = [
+    {},
+    {"id": "s", "sentences": ["a .", "b .", "c .", "d .", "e ."]},
+    {"id": "s", "context": ["a .", "b .", "[SEP]", "e ."], "targets": ["c .", "d ."],
+     "silver_rules": {"1": {"effect": ["x >Causes> y"], "cause": []},
+                      "2": {"effect": [], "cause": ["z >Enables> w"]}}},
+    {"id": "s", "context": ["a .", "b .", "c .", "d ."], "target": "e ."},
+    {"story_id": "s", "sentence_index": 2, "dimension": 6, "specific": "a >Causes> b",
+     "general": "A >Causes> B"},
+]
+rows = st.lists(
+    st.tuples(st.sampled_from(BASE_ROWS), st.dictionaries(st.sampled_from(FIELDS), json_values, max_size=3)),
+    min_size=1, max_size=3,
+)
+
+
+@pytest.mark.parametrize("read", [read_nsc, read_seg, read_stories, read_glucose, corpus_text_lines],
+                         ids=lambda f: f.__name__)
+@settings(max_examples=300, deadline=None)
+@given(lines=rows)
+def test_fuzz_readers_load_or_raise_coins_error(tmp_path_factory, read, lines):
+    path = tmp_path_factory.mktemp("fuzz") / "x.jsonl"
+    path.write_text("".join(json.dumps({**base, **fields}) + "\n" for base, fields in lines))
+    try:
+        read(path)
+    except CoinsError:
+        pass
+
+
 def test_seg_round_trip(tmp_path):
     segs = build_seg_corpus([story(5, f"s{i}") for i in range(3)])
     p = tmp_path / "seg.jsonl"
@@ -226,6 +281,10 @@ def test_glucose_schema_violations(tmp_path):
         read_glucose(p)
     p.write_text("not json\n")
     with pytest.raises(SchemaError, match="invalid JSON"):
+        read_glucose(p)
+    p.write_text('{"story_id": "x", "sentence_index": Infinity, "dimension": 6, '
+                 '"specific": "a", "general": "b"}\n')
+    with pytest.raises(SchemaError, match="bad.jsonl:1"):
         read_glucose(p)
 
 

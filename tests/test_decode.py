@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coins import tensor as T
-from coins.decode import DecodeConfig, beam_search, greedy, lm_logprob_fn
+from coins.decode import DecodeConfig, beam_search, lm_logprob_fn
 from coins.model import Lm, LmConfig, forward, init_lm
 
 
@@ -64,6 +64,20 @@ def enumerate_argmax(model, prefix, length, stop_token=None):
     return list(prefix) + list(pick[1]), pick[2]
 
 
+def stepwise_argmax(model, prefix, max_new_tokens, stop_token=None):
+    """Reference width-1 decode: the most likely next token at each step,
+    ties to the lowest id, stopping after the stop token. Returns (ids,
+    summed log-prob)."""
+    ids, score = tuple(prefix), 0.0
+    for _ in range(max_new_tokens):
+        lp = model.logprob_fn(ids)
+        tok = int(np.argmax(lp))  # the first maximum, so the lowest id
+        ids, score = ids + (tok,), score + float(lp[tok])
+        if tok == stop_token:
+            break
+    return list(ids), score
+
+
 def peaky_model(prefix):
     """Greedy goes wrong here: token 1 looks best at the first step but
     token 0 opens a much better continuation."""
@@ -82,7 +96,7 @@ def test_beam_finds_argmax_where_greedy_fails():
     got = beam_search(model.batch_logprob_fn, prefix, DecodeConfig(beam_width=4, max_new_tokens=3))
     assert got.ids == want
     assert got.score == pytest.approx(want_score)
-    g = greedy(model.batch_logprob_fn, prefix, DecodeConfig(beam_width=1, max_new_tokens=3))
+    g = beam_search(model.batch_logprob_fn, prefix, DecodeConfig(beam_width=1, max_new_tokens=3))
     assert g.ids != want  # the trap works
     assert g.score < got.score
 
@@ -128,14 +142,14 @@ def test_beam1_equals_greedy_on_100_random_prompts():
         model = TabularModel(6, len(prefix), seed=seed)
         cfg = DecodeConfig(beam_width=1, max_new_tokens=4, stop_token=5)
         b = beam_search(model.batch_logprob_fn, prefix, cfg)
-        g = greedy(model.batch_logprob_fn, prefix, cfg)
-        assert b.ids == g.ids and b.score == pytest.approx(g.score)
+        want, want_score = stepwise_argmax(model, prefix, 4, stop_token=5)
+        assert b.ids == want and b.score == pytest.approx(want_score)
 
 
 def test_greedy_is_stepwise_argmax():
     prefix = (1,)
     model = TabularModel(3, 1, seed=8)
-    out = greedy(model.batch_logprob_fn, prefix, DecodeConfig(beam_width=1, max_new_tokens=4))
+    out = beam_search(model.batch_logprob_fn, prefix, DecodeConfig(beam_width=1, max_new_tokens=4))
     hist = prefix
     for tok in out.ids[1:]:
         lp = model.logprob_fn(hist)
@@ -146,14 +160,14 @@ def test_greedy_is_stepwise_argmax():
 def test_greedy_deterministic_across_runs():
     model = TabularModel(5, 0, seed=11)
     cfg = DecodeConfig(beam_width=1, max_new_tokens=6)
-    a = greedy(model.batch_logprob_fn, (), cfg)
-    b = greedy(model.batch_logprob_fn, (), cfg)
+    a = beam_search(model.batch_logprob_fn, (), cfg)
+    b = beam_search(model.batch_logprob_fn, (), cfg)
     assert a.ids == b.ids and a.score == b.score
 
 
 def test_max_new_tokens_respected_exactly():
     model = TabularModel(4, 0, seed=12)
-    out = greedy(model.batch_logprob_fn, (), DecodeConfig(beam_width=1, max_new_tokens=5))
+    out = beam_search(model.batch_logprob_fn, (), DecodeConfig(beam_width=1, max_new_tokens=5))
     assert out.n_generated == 5 and not out.finished
 
 
@@ -187,7 +201,7 @@ def test_scores_non_increasing_with_longer_budgets():
     model = TabularModel(4, 0, seed=16)
     prev = 0.0
     for budget in (1, 2, 3, 4):
-        out = greedy(model.batch_logprob_fn, (), DecodeConfig(beam_width=1, max_new_tokens=budget))
+        out = beam_search(model.batch_logprob_fn, (), DecodeConfig(beam_width=1, max_new_tokens=budget))
         assert out.score <= prev + 1e-12
         prev = out.score
 

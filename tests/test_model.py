@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from coins import tensor as T
 from coins.checkpoint import load_arrays, save_arrays
 from coins.data import synthetic
 from coins.data.corpus import build_nsc_corpus
-from coins.data.types import Flavor
+from coins.data.rules import gold_rule_pairs
+from coins.data.types import Flavor, RelationType, RuleBundle
 from coins.errors import ConfigError, SchemaError
 from coins.model import (
     JointItem,
@@ -472,11 +475,12 @@ def test_32_example_corpus_loss_decreases_over_epochs():
 def test_trained_model_is_sensitive_to_dropping_the_effect_rules(overfit_world):
     w = overfit_world
     ex = w["examples"][0]
-    good = build_sentence_seq(ex, 1, w["vocab"], Flavor.GENERAL, w["records"])
-    # the example's own Cause records only: the prompt keeps the ending's
-    # Cause rules and loses the Effect rules of the current sentence
-    cause_only = [r for r in w["records"] if r.story_id == ex.id and r.sentence_index == ex.n_sentences]
-    reduced = build_sentence_seq(ex, 1, w["vocab"], Flavor.GENERAL, cause_only)
+    pair = gold_rule_pairs([ex], w["records"], Flavor.GENERAL)[0][1]
+    good = build_sentence_seq(ex, 1, w["vocab"], pair)
+    # the prompt keeps the ending's Cause rules and loses the Effect rules
+    # of the current sentence
+    no_effect = RuleBundle(relation=RelationType.EFFECT, rules=(), flavor=Flavor.GENERAL)
+    reduced = build_sentence_seq(ex, 1, w["vocab"], dataclasses.replace(pair, effect=no_effect))
     assert reduced.start < good.start
     assert np.array_equal(reduced.ids[reduced.start :], good.ids[good.start :])
     lg = masked_nll(w["theta"], w["cfg"], good).item()
@@ -500,7 +504,8 @@ def test_dynamic_rule_conditioning(overfit_world):
     items = decoded_rule_items(w["examples"][:2], w["vocab"], Flavor.GENERAL,
                                w["records"], w["beta"], w["cfg"])
     assert len(items) == 4
-    gold = build_sentence_seq(w["examples"][0], 1, w["vocab"], Flavor.GENERAL, w["records"])
+    pair = gold_rule_pairs(w["examples"][:1], w["records"], Flavor.GENERAL)[0][1]
+    gold = build_sentence_seq(w["examples"][0], 1, w["vocab"], pair)
     assert np.array_equal(items[0].sentence_seq.ids, gold.ids)
 
     theta = init_lm(w["cfg"], np.random.default_rng(50))

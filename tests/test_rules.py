@@ -2,8 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coins.data.rules import CONNECTIVES, aggregate_rules, cluster_dimension, parse_rule, render_rule
-from coins.data.types import Flavor, GlucoseRecord, RelationType, RuleBundle
+from coins.data.rules import (
+    CONNECTIVES,
+    aggregate_rules,
+    cluster_dimension,
+    gold_rule_pairs,
+    parse_rule,
+    render_rule,
+)
+from coins.data.types import Flavor, GlucoseRecord, NscExample, RelationType, RuleBundle
 from coins.errors import SchemaError
 
 
@@ -104,6 +111,25 @@ def test_aggregate_orders_by_dimension_stably():
     records = [rec(9), rec(6), rec(8), rec(6)]
     bundle = aggregate_rules(records, 2, RelationType.EFFECT, Flavor.SPECIFIC)
     assert [d for d, _ in bundle.rules] == [6, 6, 8, 9]
+
+
+def test_gold_rule_pairs_schedule():
+    # a 6-sentence story: iteration i pairs the Effect rules of s_{i+1}
+    # with the Cause rules of the ending s_6; other stories' records and
+    # the other cluster stay out
+    def sentence_rec(dim, idx, story="s1"):
+        rule = parse_rule(f"s{idx} d{dim} >Causes> x")
+        return GlucoseRecord(story_id=story, sentence_index=idx, dimension=dim, specific=rule, general=rule)
+
+    ex = NscExample(id="s1", beginning=("a", "b"), ending="f", targets=("c", "d", "e"))
+    records = [sentence_rec(dim, idx) for idx in range(1, 7) for dim in (2, 7)]
+    records += [sentence_rec(8, 3, story="s2"), sentence_rec(3, 6, story="s2")]
+    (pairs,) = gold_rule_pairs([ex], records, Flavor.GENERAL)
+    assert {it: pair.effect.texts for it, pair in pairs.items()} == {
+        1: ["s2 d7 >Causes> x"], 2: ["s3 d7 >Causes> x"], 3: ["s4 d7 >Causes> x"]}
+    assert all(pair.cause.texts == ["s6 d2 >Causes> x"] for pair in pairs.values())
+    (none,) = gold_rule_pairs([ex], [], Flavor.GENERAL)
+    assert set(none) == {1, 2, 3} and all(not p.effect and not p.cause for p in none.values())
 
 
 def test_bundle_rejects_cross_cluster_dimension():

@@ -3,7 +3,7 @@ import pytest
 
 from coins.controller import CoinsModels, default_controller_config, run_ablation
 from coins.data.corpus import read_nsc, write_nsc
-from coins.data.rules import render_rule
+from coins.data.rules import gold_rule_pairs
 from coins.data.serialize import MODE_ORACLE, csi_source
 from coins.data.silver import _decode_rules, enrich_with_silver
 from coins.data.types import Flavor, RelationType, StoryState, initial_state
@@ -43,15 +43,12 @@ def test_memorized_model_reproduces_training_rules(overfit_world):
     w = overfit_world
     enriched = enrich_with_silver(csi_of(w), w["examples"], w["vocab"], Flavor.GENERAL)
     total, verbatim = 0, 0
-    for ex in enriched:
-        recs = [r for r in w["records"] if r.story_id == ex.id]
+    for ex, gold in zip(enriched, gold_rule_pairs(w["examples"], w["records"], Flavor.GENERAL)):
         for it in (1, 2):
-            gold_eff = [render_rule(r.general) for r in recs if r.sentence_index == it + 1 and r.dimension >= 6]
-            gold_cau = [render_rule(r.general) for r in recs if r.sentence_index == 5 and r.dimension <= 5]
             got = ex.silver_rules[it]
             total += 2
-            verbatim += [tokenize(t) for t in got.effect.texts] == [tokenize(t) for t in gold_eff]
-            verbatim += [tokenize(t) for t in got.cause.texts] == [tokenize(t) for t in gold_cau]
+            verbatim += [tokenize(t) for t in got.effect.texts] == [tokenize(t) for t in gold[it].effect.texts]
+            verbatim += [tokenize(t) for t in got.cause.texts] == [tokenize(t) for t in gold[it].cause.texts]
     assert verbatim >= total - 2  # allow a stray miss on the 8-story corpus
 
 
