@@ -6,7 +6,8 @@ build-nsc, train-vocab, train-coins, complete --mode full, evaluate).
 Then, on models trained for 150 epochs so that their decodes are many
 tokens long, it runs train-coins, train-csi, enrich at beam 1 and beam
 3, train-baseline, and complete in full, baseline, oracle and seg modes,
-each evaluated. Last, at criterion 10's epochs, it trains on every
+each evaluated, and in full mode at beam 1 and with --rule-scope all,
+and in ir_wo_se mode. Last, at criterion 10's epochs, it trains on every
 kind of training item: silver rules, --ablation-mix, --dynamic-rules,
 a SEG corpus, and a specific-rule (sr) rule model. Every output file
 under DIR is listed in DIR/manifest.json with its SHA-256;
@@ -75,6 +76,12 @@ STEPS = [
      "--out", "run_seg"],
     ["complete", "--nsc", "nsc/nsc.jsonl", "--models", "models_long", "--mode", "full",
      "--out", "run_long"],
+    ["complete", "--nsc", "nsc/nsc.jsonl", "--models", "models_long", "--mode", "full",
+     "--rule-scope", "all", "--out", "run_scope_all"],
+    ["complete", "--nsc", "nsc/nsc.jsonl", "--models", "models_long", "--mode", "ir_wo_se",
+     "--out", "run_ir_wo_se"],
+    ["complete", "--nsc", "nsc/nsc.jsonl", "--models", "models_long", "--mode", "full",
+     "--beam", 1, "--out", "run_beam1"],
     ["evaluate", "--system", "run_baseline", "--system", "run_oracle", "--system", "run_long",
      "--gold", "nsc/nsc.jsonl", "--ppl-model", "models_long", "--out", "eval_nsc"],
     ["evaluate", "--system", "run_seg", "--gold", "seg/seg.jsonl", "--out", "eval_seg"],

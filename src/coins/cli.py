@@ -12,11 +12,11 @@ Exit codes: 0 success, 2 usage, 3 missing input, 4 schema violation,
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import logging
 import sys
+import typing
 from pathlib import Path
 
 import click
@@ -112,22 +112,43 @@ def _load_config_file(path: str | None) -> dict:
     return cfg
 
 
-def _section(cfg: dict, name: str, allowed: set[str]) -> dict:
+def _fits(value, hint) -> bool:
+    """Whether a JSON value can fill a config field typed ``hint``: bool,
+    int, float (an int will do) or str, any of them optional."""
+
+    def fits(t) -> bool:
+        if t is type(None):
+            return value is None
+        if isinstance(value, bool):
+            return t is bool
+        return isinstance(value, (int, float) if t is float else t)
+
+    return any(fits(t) for t in typing.get_args(hint) or (hint,))
+
+
+def _section(cfg: dict, name: str, cls, exclude: tuple[str, ...] = ()) -> dict:
+    """Config section ``name``: an object whose keys are fields of the
+    dataclass ``cls`` (less ``exclude``), each holding a value of its type."""
     section = cfg.get(name, {})
-    unknown = set(section) - allowed
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be an object, got {section!r}")
+    hints = {k: v for k, v in typing.get_type_hints(cls).items() if k not in exclude}
+    unknown = set(section) - set(hints)
     if unknown:
         raise ConfigError(f"config section {name!r}: unknown keys {sorted(unknown)}")
+    for key, value in section.items():
+        if not _fits(value, hints[key]):
+            kind = getattr(hints[key], "__name__", hints[key])
+            raise ConfigError(f"config section {name!r}: {key} must be {kind}, got {value!r}")
     return dict(section)
 
 
 def _model_config(vocab_size: int, cfg: dict) -> LmConfig:
-    fields = {f.name for f in dataclasses.fields(LmConfig)} - {"vocab"}
-    return LmConfig(vocab=vocab_size, **_section(cfg, "model", fields))
+    return LmConfig(vocab=vocab_size, **_section(cfg, "model", LmConfig, exclude=("vocab",)))
 
 
 def _train_config(cfg: dict, **overrides) -> TrainConfig:
-    fields = {f.name for f in dataclasses.fields(TrainConfig)}
-    merged = _section(cfg, "train", fields)
+    merged = _section(cfg, "train", TrainConfig)
     merged.update({k: v for k, v in overrides.items() if v is not None})
     return TrainConfig(**merged)
 

@@ -31,7 +31,15 @@ from .data.serialize import (
     split_rules,
 )
 from .data.types import RelationType, SilverPair, StoryState
-from .decode import DecodeConfig, DecodeResult, beam_search, decode_rules, lm_logprob_fn
+from .decode import (
+    DecodeConfig,
+    DecodeResult,
+    RuleRequest,
+    beam_search,
+    decode_many,
+    decode_rules,
+    lm_logprob_fn,
+)
 from .errors import SchemaError
 from .model import Lm, forward_cached, pack_weights
 from .vocab import Vocab, detokenize, encode as vocab_encode
@@ -123,17 +131,20 @@ def default_controller_config(vocab: Vocab, beam: int = 5, max_sentence_tokens: 
 def gen_inference_rules(
     csi: Lm,
     vocab: Vocab,
-    state: StoryState,
-    selected: str,
-    relation: RelationType,
+    requests: list[RuleRequest],
     cfg: ControllerConfig,
-) -> tuple[list[str], str]:
-    """Decode the rule model on (context, selected sentence, relation) with
-    the controller's rule-decode settings. Returns (rules, prompt)."""
-    rules, prompt = decode_rules(csi, vocab, state, selected, relation, cfg.rule_decode)
-    if not rules:
-        log.warning("empty rule decode for relation %s on %r", relation.value, selected)
-    return rules, prompt
+) -> list[tuple[list[str], str]]:
+    """Decode the rule model on every (context, selected sentence,
+    relation) request in one batch, with the controller's rule-decode
+    settings. Returns (rules, prompt) per request; a failed decode
+    raises."""
+    out = decode_rules(csi, vocab, requests, cfg.rule_decode)
+    for (_, selected, relation), result in zip(requests, out):
+        if isinstance(result, Exception):
+            raise result
+        if not result[0]:
+            log.warning("empty rule decode for relation %s on %r", relation.value, selected)
+    return out
 
 
 def concat_rules(effect: list[str], cause: list[str], vocab: Vocab, max_rule_tokens: int) -> str:
@@ -225,34 +236,29 @@ def _run_loop(
         try:
             if mode == MODE_ORACLE:
                 effect, cause = silver_rules[it].effect.texts, silver_rules[it].cause.texts
-            elif mode == MODE_SEG:
-                effect, eff_prompt = gen_inference_rules(
-                    models.csi, vocab, state, state.current_sentence, RelationType.EFFECT, cfg
-                )
-                cause = []
-                csi_inputs["effect"] = eff_prompt
             elif mode == MODE_NO_IR_WO_SE:
                 effect, cause = [], []
-            elif cfg.rule_scope == "all":
-                effect, cause = [], []
-                for pos, sent in enumerate([*state.prefix, state.ending], start=1):
-                    e, ep = gen_inference_rules(models.csi, vocab, state, sent,
-                                                RelationType.EFFECT, cfg)
-                    c, cp = gen_inference_rules(models.csi, vocab, state, sent,
-                                                RelationType.CAUSE, cfg)
-                    effect.extend(e)
-                    cause.extend(c)
-                    csi_inputs[f"effect_{pos}"] = ep
-                    csi_inputs[f"cause_{pos}"] = cp
             else:
-                effect, eff_prompt = gen_inference_rules(
-                    models.csi, vocab, state, state.current_sentence, RelationType.EFFECT, cfg
+                # one batch: Effect rules for the current sentence (and
+                # Cause rules for the ending), or under rule_scope "all"
+                # both relations for every sentence
+                if mode == MODE_SEG:
+                    asked = {"effect": (state.current_sentence, RelationType.EFFECT)}
+                elif cfg.rule_scope == "all":
+                    asked = {}
+                    for pos, sent in enumerate([*state.prefix, state.ending], start=1):
+                        asked[f"effect_{pos}"] = (sent, RelationType.EFFECT)
+                        asked[f"cause_{pos}"] = (sent, RelationType.CAUSE)
+                else:
+                    asked = {"effect": (state.current_sentence, RelationType.EFFECT),
+                             "cause": (state.ending, RelationType.CAUSE)}
+                decoded = gen_inference_rules(
+                    models.csi, vocab, [(state, sent, rel) for sent, rel in asked.values()], cfg
                 )
-                cause, cause_prompt = gen_inference_rules(
-                    models.csi, vocab, state, state.ending, RelationType.CAUSE, cfg
-                )
-                csi_inputs["effect"] = eff_prompt
-                csi_inputs["cause"] = cause_prompt
+                effect, cause = [], []
+                for key, (rules, prompt) in zip(asked, decoded):
+                    (effect if key.startswith("effect") else cause).extend(rules)
+                    csi_inputs[key] = prompt
 
             rules_text = concat_rules(effect, cause, vocab, cfg.max_rule_tokens)
             sent_mode = MODE_FULL if mode in (MODE_ORACLE, MODE_SEG) else mode
@@ -345,11 +351,12 @@ def run_seg(
 
 def complete_baseline(lm: Lm, vocab: Vocab, states: Iterable[StoryState], cfg: DecodeConfig) -> list[str]:
     """Rule-free completion: for each incomplete story, one decode of all
-    its missing sentences from the plain context. One log-prob source
-    serves every decode."""
-    fn = lm_logprob_fn(lm)
+    its missing sentences from the plain context, every story's decode
+    in one batched search."""
+    prompts = [vocab_encode(baseline_prompt(state), vocab) for state in states]
     texts = []
-    for state in states:
-        ids = vocab_encode(baseline_prompt(state), vocab)
-        texts.append(detokenize(beam_search(fn, ids, cfg).ids[len(ids) :], vocab))
+    for ids, result in zip(prompts, decode_many(lm, prompts, [cfg] * len(prompts))):
+        if isinstance(result, Exception):
+            raise result
+        texts.append(detokenize(result.ids[len(ids) :], vocab))
     return texts

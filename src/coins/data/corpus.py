@@ -284,26 +284,26 @@ def write_seg(path, examples: Iterable[SegExample]) -> None:
 
 def corpus_text_lines(path) -> list[str]:
     """All natural-language strings in a stories/nsc/seg/glucose JSONL file,
-    as written, for vocabulary training. Each row must pass its reader's
+    as its reader returns them (reserved surfaces escaped in stories and
+    rules), for vocabulary training. Each row must pass its reader's
     checks."""
     lines: list[str] = []
     for lineno, row in read_jsonl(path):
         where = f"{path}:{lineno}"
         if "sentences" in row:
-            story_from_row(row, where)
-            texts = row["sentences"]
+            texts = list(story_from_row(row, where).sentences)
         elif "targets" in row:
-            nsc_from_row(row, where)
-            texts = [s for s in row["context"] if s != SEPARATOR] + row["targets"]
-            for pair in (row.get("silver_rules") or {}).values():
-                texts += pair["effect"] + pair["cause"]
+            ex = nsc_from_row(row, where)
+            texts = [*ex.beginning, ex.ending, *ex.targets]
+            for pair in (ex.silver_rules or {}).values():
+                texts += pair.effect.texts + pair.cause.texts
         elif "target" in row:
-            seg_from_row(row, where)
-            texts = [*row["context"], row["target"]]
+            seg = seg_from_row(row, where)
+            texts = [*seg.context, seg.target]
         elif "specific" in row:
-            glucose_from_row(row, where)
-            texts = [row["specific"], row["general"]]
+            record = glucose_from_row(row, where)
+            texts = [record.specific.raw, record.general.raw]
         else:
             raise SchemaError(f"{where}: unrecognized record shape for vocab training")
-        lines.extend(str(t) for t in texts)
+        lines.extend(texts)
     return lines

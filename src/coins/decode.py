@@ -2,8 +2,9 @@
 
 The decoder only needs a callable ``logprob_fn(batch) -> (n, V)
 log-probs``, called once per step with the ids of every live hypothesis
-in beam order, so trained transformers and hand-built tabular test
-models share the same code path. Everything is deterministic: candidate
+in beam order (of every prompt, when independent prompts are decoded in
+lockstep), so trained transformers and hand-built tabular test models
+share the same code path. Everything is deterministic: candidate
 ordering breaks score ties by token id, then lexicographically by
 sequence.
 """
@@ -70,49 +71,97 @@ def _ranked(cands: list[BeamHypothesis], normalize: bool, prefix_len: int) -> li
     return sorted(cands, key=key)
 
 
+def _result(live: list[BeamHypothesis], finished: list[BeamHypothesis], config: DecodeConfig,
+            prefix_len: int) -> DecodeResult:
+    pool = finished if finished else live
+    best = _ranked(pool, config.length_normalization, prefix_len)[0]
+    n_gen = len(best.ids) - prefix_len
+    score = best.logprob / max(1, n_gen) if config.length_normalization else best.logprob
+    return DecodeResult(ids=list(best.ids), score=score, finished=best.finished, n_generated=n_gen)
+
+
+def _error(logprob_fn: LogprobFn, prefix: tuple[int, ...]) -> Exception | None:
+    """The exception a first step on ``prefix`` alone raises, if any."""
+    try:
+        logprob_fn([prefix])
+    except Exception as e:
+        return e
+    return None
+
+
+def beam_search_many(
+    logprob_fn: LogprobFn,
+    prefixes: Sequence[Sequence[int]],
+    configs: Sequence[DecodeConfig],
+) -> list[DecodeResult | Exception]:
+    """Beam search on every prefix in lockstep, each under its own config.
+
+    Each step is one ``logprob_fn`` call over the live hypotheses of
+    every unfinished prompt, prompt after prompt, each in beam order. A
+    prompt leaves the batch when it finishes, with the result a search on
+    it alone gives. A prompt whose first step fails when run alone gets
+    that exception in place of a result, and the others go on; any other
+    failed call is the result of every prompt in it.
+    """
+    prefixes = [tuple(int(i) for i in p) for p in prefixes]
+    out: list[DecodeResult | Exception | None] = [None] * len(prefixes)
+    live = {i: [BeamHypothesis(ids=p, logprob=0.0)] for i, p in enumerate(prefixes)}
+    finished: dict[int, list[BeamHypothesis]] = {i: [] for i in live}
+    step = 0
+    while live:
+        try:
+            lps = np.asarray(logprob_fn([h.ids for i in live for h in live[i]]), dtype=np.float64)
+        except Exception as err:
+            errors = {}
+            if step == 0 and len(live) > 1:
+                errors = {i: e for i in live if (e := _error(logprob_fn, prefixes[i])) is not None}
+            for i, e in (errors or dict.fromkeys(live, err)).items():
+                out[i] = e
+                del live[i]
+            continue
+        # every row's top tokens by descending log-prob, ties to the lowest id
+        width = max(configs[i].beam_width for i in live)
+        tops = np.argsort(-lps, axis=1, kind="stable")[:, :width].tolist()
+        row = 0
+        for i in list(live):
+            config, prefix_len = configs[i], len(prefixes[i])
+            cands: list[BeamHypothesis] = []
+            for hyp in live[i]:
+                lp = lps[row]
+                for tok in tops[row][: config.beam_width]:
+                    cands.append(
+                        BeamHypothesis(
+                            ids=hyp.ids + (tok,),
+                            logprob=hyp.logprob + float(lp[tok]),
+                            finished=config.stop_token is not None and tok == config.stop_token,
+                        )
+                    )
+                row += 1
+            cands = _ranked(cands, config.length_normalization, prefix_len)
+            finished[i].extend(h for h in cands if h.finished)
+            live[i] = [h for h in cands if not h.finished][: config.beam_width]
+            # live scores can only decrease, so a strictly better finished
+            # hypothesis can never be overtaken
+            settled = (live[i] and finished[i] and not config.length_normalization
+                       and _ranked(finished[i], False, prefix_len)[0].logprob > live[i][0].logprob)
+            if step + 1 == config.max_new_tokens or not live[i] or settled:
+                out[i] = _result(live.pop(i), finished[i], config, prefix_len)
+        step += 1
+    return out
+
+
 def beam_search(logprob_fn: LogprobFn, prefix: Sequence[int], config: DecodeConfig) -> DecodeResult:
-    """Best finished hypothesis under sum-of-log-probs beam search.
+    """Best finished hypothesis under sum-of-log-probs beam search: the
+    one-prompt :func:`beam_search_many`, raising its failure.
 
     Finished hypotheses collect in a separate pool and compete with the
     live beam at the end; if nothing finishes within the token budget the
     best live hypothesis is returned flagged unfinished.
     """
-    prefix = tuple(int(i) for i in prefix)
-    width = config.beam_width
-    live: list[BeamHypothesis] = [BeamHypothesis(ids=prefix, logprob=0.0)]
-    finished: list[BeamHypothesis] = []
-
-    for _ in range(config.max_new_tokens):
-        cands: list[BeamHypothesis] = []
-        lps = np.asarray(logprob_fn([hyp.ids for hyp in live]), dtype=np.float64)
-        # every row's top tokens by descending log-prob, ties to the lowest id
-        tops = np.argsort(-lps, axis=1, kind="stable")[:, :width].tolist()
-        for hyp, lp, top in zip(live, lps, tops):
-            for tok in top:
-                cands.append(
-                    BeamHypothesis(
-                        ids=hyp.ids + (tok,),
-                        logprob=hyp.logprob + float(lp[tok]),
-                        finished=config.stop_token is not None and tok == config.stop_token,
-                    )
-                )
-        cands = _ranked(cands, config.length_normalization, len(prefix))
-        finished.extend(h for h in cands if h.finished)
-        live = [h for h in cands if not h.finished][:width]
-        if not live:
-            break
-        if finished and not config.length_normalization:
-            # live scores can only decrease, so a strictly better finished
-            # hypothesis can never be overtaken
-            best_fin = _ranked(finished, False, len(prefix))[0]
-            if best_fin.logprob > live[0].logprob:
-                break
-
-    pool = finished if finished else live
-    best = _ranked(pool, config.length_normalization, len(prefix))[0]
-    n_gen = len(best.ids) - len(prefix)
-    score = best.logprob / max(1, n_gen) if config.length_normalization else best.logprob
-    return DecodeResult(ids=list(best.ids), score=score, finished=best.finished, n_generated=n_gen)
+    result = beam_search_many(logprob_fn, [prefix], [config])[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def lm_logprob_fn(lm: Lm) -> LogprobFn:
@@ -121,8 +170,9 @@ def lm_logprob_fn(lm: Lm) -> LogprobFn:
     The model's weights are packed once, when the source is made. A call
     whose hypotheses each extend a row of the previous call by one token
     moves those parent rows into place in the cache (at width 1 they
-    already are) and runs one (n, 1) step; any other call (the first of a
-    decode) prefills its hypotheses whole into the same buffers.
+    already are, until a prompt leaves) and runs one (n, 1) step, each
+    row at its own position; any other call (the first of a decode)
+    prefills each hypothesis alone into its own row of the same buffers.
     """
     weights = pack_weights(lm.params, lm.config)
     cache = KvCache(lm.config, 1, weights.tok_emb.dtype)
@@ -131,32 +181,59 @@ def lm_logprob_fn(lm: Lm) -> LogprobFn:
     def fn(batch: Sequence[tuple[int, ...]]) -> np.ndarray:
         nonlocal rows
         batch = [tuple(ids) for ids in batch]
-        parents = [rows.get(ids[:-1]) for ids in batch]
-        if rows and None not in parents:
+        known, rows = rows, {}  # forgotten unless this call succeeds
+        parents = [known.get(ids[:-1]) for ids in batch]
+        if known and None not in parents:
             cache.select(parents)
-            new = [ids[-1:] for ids in batch]
+            logits = forward_cached(weights, lm.config, [ids[-1:] for ids in batch], cache)[0][:, -1]
         else:
             cache.reset(len(batch))
-            new = batch
-        logits = forward_cached(weights, lm.config, new, cache)[0]
+            logits = np.concatenate([forward_cached(weights, lm.config, [ids], cache, row=i)[0][:, -1]
+                                     for i, ids in enumerate(batch)])
         rows = {ids: i for i, ids in enumerate(batch)}
-        return T.log_softmax_rows(logits[:, -1].astype(np.float64))
+        return T.log_softmax_rows(logits.astype(np.float64))
 
     return fn
+
+
+DECODE_POSITIONS = 4096  # cached positions per batched decode: hypotheses x max_positions
+
+
+def decode_many(lm: Lm, prompts: Sequence[Sequence[int]],
+                configs: Sequence[DecodeConfig]) -> list[DecodeResult | Exception]:
+    """:func:`beam_search_many` of ``lm`` on every prompt, in order, in
+    groups whose hypotheses (beam widths summed) at ``max_positions``
+    each fill at most DECODE_POSITIONS cache positions. One log-prob
+    source serves every group."""
+    fn = lm_logprob_fn(lm)
+    limit = DECODE_POSITIONS // lm.config.max_positions
+    groups: list[list[int]] = [[]]
+    rows = 0
+    for i, config in enumerate(configs):
+        if groups[-1] and rows + config.beam_width > limit:
+            groups.append([])
+            rows = 0
+        groups[-1].append(i)
+        rows += config.beam_width
+    return [result for group in groups if group
+            for result in beam_search_many(fn, [prompts[i] for i in group], [configs[i] for i in group])]
+
+
+RuleRequest = tuple[StoryState, str, RelationType]  # (context, selected sentence, relation)
 
 
 def decode_rules(
     csi: Lm,
     vocab: Vocab,
-    state: StoryState,
-    selected: str,
-    relation: RelationType,
+    requests: Sequence[RuleRequest],
     cfg: DecodeConfig,
-) -> tuple[list[str], str]:
-    """Decode the rule model on (context, selected sentence, relation) and
-    split the output on the rule delimiter. The token budget is capped at
-    the positions the prompt leaves free. Returns (rules, prompt)."""
-    prompt = csi_source(state, selected, relation)
-    ids = encode(prompt, vocab)
-    result = beam_search(lm_logprob_fn(csi), ids, cfg.fit(len(ids), csi.config.max_positions))
-    return split_rules(detokenize(result.ids[len(ids) :], vocab)), prompt
+) -> list[tuple[list[str], str] | Exception]:
+    """Decode the rule model on every request in one :func:`decode_many`
+    and split each output on the rule delimiter. Each token budget is
+    capped at the positions its prompt leaves free. Returns (rules,
+    prompt) per request, or the exception its decode failed with."""
+    prompts = [csi_source(state, selected, relation) for state, selected, relation in requests]
+    ids = [encode(prompt, vocab) for prompt in prompts]
+    configs = [cfg.fit(len(x), csi.config.max_positions) for x in ids]
+    return [r if isinstance(r, Exception) else (split_rules(detokenize(r.ids[len(x):], vocab)), prompt)
+            for r, x, prompt in zip(decode_many(csi, ids, configs), ids, prompts)]

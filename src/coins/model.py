@@ -203,35 +203,50 @@ def pack_weights(params: dict[str, Tensor], config: LmConfig) -> PackedWeights:
 class KvCache:
     """Keys and values of the positions seen so far, in per-layer buffers
     of shape (capacity, max_positions, H) that :func:`forward_cached`
-    fills in place. Positions [0, length) of the first ``rows`` rows hold
-    data; attention reads views of them, with no copy per step."""
+    fills in place. Positions [0, lengths[i]) of each of the first
+    ``rows`` rows hold data; attention reads views of them, with no copy
+    per step. Every other column of an active row is zero, so the masked
+    columns a shorter row reads in a mixed-length step stay finite."""
 
     def __init__(self, config: LmConfig, rows: int, dtype: np.dtype):
         shape = (rows, config.max_positions, config.hidden)
-        self.keys = [np.empty(shape, dtype=dtype) for _ in range(config.layers)]
-        self.values = [np.empty(shape, dtype=dtype) for _ in range(config.layers)]
+        self.keys = [np.zeros(shape, dtype=dtype) for _ in range(config.layers)]
+        self.values = [np.zeros(shape, dtype=dtype) for _ in range(config.layers)]
         self.rows = rows
-        self.length = 0
+        self.lengths = np.zeros(rows, dtype=np.intp)
+
+    @property
+    def length(self) -> int:
+        """The longest row's length: every row's, when they are equal."""
+        return int(self.lengths.max(initial=0))
 
     def reset(self, rows: int) -> None:
-        """Empty the cache for ``rows`` new sequences, reusing the buffers."""
-        self.length = 0
-        self.select([0] * rows)
+        """Empty the cache for ``rows`` new sequences, reusing the buffers
+        when they hold enough rows; a row's columns are cleared when it is
+        first written."""
+        if rows > self.keys[0].shape[0]:
+            for bufs in (self.keys, self.values):
+                bufs[:] = [np.zeros((rows, *buf.shape[1:]), dtype=buf.dtype) for buf in bufs]
+        self.rows = rows
+        self.lengths = np.zeros(rows, dtype=np.intp)
 
     def select(self, parents: Sequence[int]) -> None:
         """Make row i continue cached row ``parents[i]``, for every i. Rows
         already in place (``parents`` is 0..n-1) are not touched."""
         n, t = len(parents), self.length
-        if n <= self.keys[0].shape[0] and list(parents) == list(range(n)):
+        if n <= self.rows and list(parents) == list(range(n)):
             self.rows = n
+            self.lengths = self.lengths[:n]
             return
         idx = np.asarray(parents, dtype=np.intp)
         for bufs in (self.keys, self.values):
             for i, buf in enumerate(bufs):
-                out = buf if n <= buf.shape[0] else np.empty((n, *buf.shape[1:]), dtype=buf.dtype)
+                out = buf if n <= buf.shape[0] else np.zeros((n, *buf.shape[1:]), dtype=buf.dtype)
                 out[:n, :t] = buf[idx, :t]  # the gather copies before the write
+                out[self.rows : n, t:] = 0  # rows that held no sequence
                 bufs[i] = out
         self.rows = n
+        self.lengths = self.lengths[idx]
 
 
 def forward_cached(
@@ -239,44 +254,66 @@ def forward_cached(
     config: LmConfig,
     ids,
     cache: KvCache | None = None,
+    row: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, KvCache]:
     """Inference forward in plain numpy: no graph, no dropout, the same
     kernels as :func:`forward`, on weights from :func:`pack_weights`.
 
     ``ids`` (B, s) are new tokens that continue the B rows of ``cache``
-    (a fresh cache when None) at its ``length`` positions. The call writes
-    their keys and values into the cache in place and returns logits
-    (B, s, V), final-norm hidden states (B, s, H) and the cache. Prefilling
-    a prompt and then feeding one token at a time gives the logits of
-    :func:`forward` on the whole sequence, up to float summation order.
+    (a fresh cache when None), or with ``row`` the one row ``row`` of it.
+    The call writes their keys and values into the cache in place and
+    returns logits (B, s, V), final-norm hidden states (B, s, H) and the
+    cache. Rows of equal length take s tokens at once; rows of different
+    lengths take one token each, at each row's own position, with each
+    row's keys beyond its length masked. Prefilling a prompt and then
+    feeding one token at a time gives the logits of :func:`forward` on
+    the whole sequence, up to float summation order.
     """
     ids = np.asarray(ids, dtype=np.intp)
     B, s = ids.shape
     if cache is None:
         cache = KvCache(config, B, weights.tok_emb.dtype)
-    elif cache.rows != B:
-        raise ValueError(f"{B} input rows for a cache of {cache.rows} rows")
-    t = cache.length
-    _check_length(s, t + s, config)
-    H, end = config.hidden, t + s
-    # one new position sees every cached one, so it needs no mask
-    mask = None if s == 1 else _causal_mask(config, weights.tok_emb.dtype)[t:end, :end]
+    rows = slice(0, cache.rows) if row is None else slice(row, row + 1)
+    lengths = cache.lengths[rows]  # a view: updated in place below
+    if len(lengths) != B:
+        raise ValueError(f"{B} input rows for {len(lengths)} cache rows")
+    t, last = int(lengths.min()), int(lengths.max())
+    if s > 1 and t != last:
+        raise ValueError("rows of different lengths take one token at a time")
+    _check_length(s, last + s, config)
+    H, end = config.hidden, last + s
+    if t == last:
+        pos = weights.pos_emb[t:end]
+        # one new position sees every cached one, so it needs no mask
+        mask = None if s == 1 else _causal_mask(config, weights.tok_emb.dtype)[t:end, :end]
+    else:
+        pos = weights.pos_emb[lengths][:, None]
+        at = (np.arange(rows.start, rows.stop), lengths)  # each row's new column
+        mask = np.where(np.arange(end) > lengths[:, None], -np.inf, 0.0)
+        mask = mask.astype(weights.tok_emb.dtype)[:, None, None]  # (B, heads, 1, end)
 
     # rows are (batch, position) pairs, flattened for the projections
-    h = (weights.tok_emb[ids] + weights.pos_emb[t:end]).reshape(B * s, H)
+    h = (weights.tok_emb[ids] + pos).reshape(B * s, H)
     for block, keys, values in zip(weights.blocks, cache.keys, cache.values):
         ln1g, ln1b, wqkv, bqkv, wo, bo, ln2g, ln2b, w1, b1, w2, b2 = block
         a = T.layer_norm_array(h, ln1g, ln1b, LN_EPS)[0]
         qkv = (a @ wqkv + bqkv).reshape(B, s, 3 * H)
-        keys[:B, t:end] = qkv[..., H : 2 * H]
-        values[:B, t:end] = qkv[..., 2 * H :]
-        o = T.attention_array(qkv[..., :H], keys[:B, :end], values[:B, :end], config.heads, mask)[0]
+        if t == last:
+            keys[rows, t:end] = qkv[..., H : 2 * H]
+            values[rows, t:end] = qkv[..., 2 * H :]
+            if t == 0:  # a fresh row: clear what earlier sequences left
+                keys[rows, end:] = 0
+                values[rows, end:] = 0
+        else:
+            keys[at] = qkv[:, 0, H : 2 * H]
+            values[at] = qkv[:, 0, 2 * H :]
+        o = T.attention_array(qkv[..., :H], keys[rows, :end], values[rows, :end], config.heads, mask)[0]
         h = h + (o.reshape(B * s, H) @ wo + bo)
 
         m = T.layer_norm_array(h, ln2g, ln2b, LN_EPS)[0]
         m = T.gelu_tanh(m @ w1 + b1)[0]
         h = h + (m @ w2 + b2)
-    cache.length = end
+    lengths += s
 
     hf = T.layer_norm_array(h, *weights.ln_f, LN_EPS)[0]
     logits = hf @ weights.proj.T

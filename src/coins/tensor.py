@@ -365,8 +365,9 @@ def attention_array(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
 
     Queries ``q`` (B, s, H) attend over keys and values ``k``, ``v``
     (B, t, H), split into ``heads`` heads of H/heads features. ``mask``
-    (s, t) is added to the scores (0 or -inf); None adds nothing, as for
-    one query that may see every key. ``keep``, when given,
+    (0 or -inf) is added to the scores (B, heads, s, t): a causal (s, t)
+    mask, or (B, 1, 1, t) to cut each row at its own length; None adds
+    nothing, as for one query that may see every key. ``keep``, when given,
     multiplies the softmax weights (B, heads, s, t): dropout. Returns the
     output (B, s, H) and, for the backward, the softmax weights and the
     per-head queries, transposed keys and values.

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from coins.cli import main
-from coins.data.corpus import read_seg
+from coins.data.corpus import read_seg, read_stories
 from coins.metrics import MetricReport
 from coins.train import build_baseline_seqs
 from coins.vocab import Vocab, encode
@@ -124,6 +124,22 @@ def test_config_error_exit_code(pipeline, tmp_path):
                     "--out", tmp_path / "x4")
     assert result.exit_code == 5
     assert "unknown keys" in result.output
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"train": 5}, "section 'train' must be an object"),
+    ({"train": {"epochs": "3"}}, "epochs must be int, got '3'"),
+    ({"model": {"hidden": "x"}}, "hidden must be int, got 'x'"),
+], ids=["train-number", "epochs-string", "hidden-string"])
+def test_config_value_of_wrong_type_is_config_error(pipeline, tmp_path, config, message):
+    root, runner, _ = pipeline
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    r = invoke(runner, "train-baseline", "--nsc", root / "nsc/nsc.jsonl",
+               "--vocab", root / "vocab/vocab.json", "--config", cfg, "--out", tmp_path / "base")
+    assert r.exit_code == 5, (r.output, r.exception)
+    assert "error:" in r.output and message in r.output
+    assert not (tmp_path / "base").exists()
 
 
 def test_usage_error_exit_code(pipeline):
@@ -442,6 +458,18 @@ def test_truncated_vocab_is_schema_error(pipeline, tmp_path):
     assert r.exit_code == 4, r.output
     assert "error:" in r.output and "vocab.json" in r.output
     assert not (tmp_path / "base").exists()
+
+
+def test_vocab_counts_the_text_the_readers_return(tmp_path):
+    # "[SEP]" in a story reaches the models escaped, as the word "sep"
+    stories = tmp_path / "stories.jsonl"
+    stories.write_text(json.dumps({"id": "s", "sentences": ["one [SEP] here .", "two .", "three ."]}) + "\n")
+    runner = CliRunner()
+    r = invoke(runner, "train-vocab", "--inputs", stories, "--out", tmp_path / "vocab")
+    assert r.exit_code == 0, (r.output, r.exception)
+    vocab = Vocab.load(tmp_path / "vocab/vocab.json")
+    for sentence in read_stories(stories)[0].sentences:
+        assert vocab.unk not in encode(sentence, vocab), sentence
 
 
 def nsc_row_with(root, **fields):

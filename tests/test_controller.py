@@ -12,8 +12,15 @@ from coins.controller import (
 )
 from coins.data.rules import gold_rule_pairs
 from coins.data.corpus import read_jsonl, write_jsonl
-from coins.data.serialize import MODE_FULL, MODE_IR_ONLY, MODE_IR_WO_SE, MODE_NO_IR_WO_SE, MODE_ORACLE
-from coins.data.types import Flavor, StoryState, initial_state
+from coins.data.serialize import (
+    MODE_FULL,
+    MODE_IR_ONLY,
+    MODE_IR_WO_SE,
+    MODE_NO_IR_WO_SE,
+    MODE_ORACLE,
+    csi_source,
+)
+from coins.data.types import Flavor, RelationType, StoryState, initial_state
 from coins.decode import beam_search, lm_logprob_fn
 from coins.errors import SchemaError
 from coins.model import Lm, LmConfig, init_lm
@@ -73,6 +80,21 @@ def test_rule_decodes_fit_position_budget():
     sentences, _, trace = run_ablation(MODE_FULL, models, vocab, state, 5, default_controller_config(vocab, beam=1))
     assert len(sentences) == 2
     assert [rec.error for rec in trace.records] == [None, None]
+
+
+def test_failed_rule_decode_ends_iteration_with_its_error(untrained):
+    # the Cause prompt (context + long ending) overflows max_positions
+    # while the Effect prompt fits; they share one batch, and the
+    # iteration ends with the Cause decode's error
+    vocab, models, cfg = untrained
+    ending = " ".join(["seven eight ."] * 20)
+    state = StoryState(prefix=("one two .", "three four ."), ending=ending)
+    limit = models.csi.config.max_positions
+    assert len(encode(csi_source(state, ending, RelationType.CAUSE), vocab)) > limit
+    assert len(encode(csi_source(state, "three four .", RelationType.EFFECT), vocab)) <= limit
+    sentences, _, trace = run_ablation(MODE_FULL, models, vocab, state, 5, cfg, example_id="x")
+    assert sentences == [] and len(trace.records) == 1
+    assert trace.records[0].error.startswith("LengthError: sequence length")
 
 
 def test_run_coins_rejects_short_story(untrained):

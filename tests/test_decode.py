@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from coins import decode
 from coins import tensor as T
-from coins.decode import DecodeConfig, beam_search, lm_logprob_fn
-from coins.model import Lm, LmConfig, forward, init_lm
+from coins.decode import DecodeConfig, beam_search, beam_search_many, lm_logprob_fn
+from coins.model import LengthError, Lm, LmConfig, forward, init_lm
 
 
 class TabularModel:
@@ -278,3 +279,77 @@ def test_reused_lm_source_is_bit_identical_to_fresh_sources(width, stop_token):
         assert (got.ids, got.score, got.finished) == (want.ids, want.score, want.finished)
         assert got.n_generated == want.n_generated
         assert stop_token is not None or got.n_generated == 12  # every step ran
+
+
+# batched decoding of independent prompts
+
+
+def peaked_lm(dtype=np.float64):
+    """A random transformer whose scaled-up embedding peaks its logits, so
+    float rounding does not flip near-tied tokens."""
+    cfg = LmConfig(vocab=30, layers=2, hidden=32, heads=2, max_positions=40, dropout_p=0.0)
+    params = init_lm(cfg, np.random.default_rng(31), dtype=dtype)
+    params["tok_emb"].data *= 10
+    return Lm(params, cfg)
+
+
+def mixed_prompts():
+    rng = np.random.default_rng(32)
+    return [tuple(int(t) for t in rng.integers(4, 30, size=n)) for n in (3, 17, 9, 33, 1, 24, 38)]
+
+
+def fitted(prompts, lm, **kw):
+    return [DecodeConfig(**kw).fit(len(p), lm.config.max_positions) for p in prompts]
+
+
+def assert_same_decode(got, want, tol):
+    assert (got.ids, got.finished, got.n_generated) == (want.ids, want.finished, want.n_generated)
+    assert abs(got.score - want.score) <= tol
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-10)])
+@pytest.mark.parametrize("width,stop", [(1, 7), (5, 9)])
+def test_batched_decode_matches_one_prompt_at_a_time(width, stop, dtype, tol):
+    lm = peaked_lm(dtype)
+    prompts = mixed_prompts()
+    configs = fitted(prompts, lm, beam_width=width, max_new_tokens=12, stop_token=stop)
+    assert sorted({c.max_new_tokens for c in configs}) == [2, 7, 12]
+    got = beam_search_many(lm_logprob_fn(lm), prompts, configs)
+    for prefix, config, result in zip(prompts, configs, got):
+        assert_same_decode(result, beam_search(lm_logprob_fn(lm), prefix, config), tol)
+    assert any(r.finished for r in got) and not all(r.finished for r in got)
+
+
+def test_decode_groups_give_the_results_of_one_group(monkeypatch):
+    lm = peaked_lm()
+    prompts = mixed_prompts()
+    configs = fitted(prompts, lm, beam_width=3, max_new_tokens=12, stop_token=9)
+    sizes = []
+    real = decode.beam_search_many
+
+    def counted(fn, group, group_configs):
+        sizes.append(len(group))
+        return real(fn, group, group_configs)
+
+    monkeypatch.setattr(decode, "beam_search_many", counted)
+    one = decode.decode_many(lm, prompts, configs)
+    monkeypatch.setattr(decode, "DECODE_POSITIONS", 7 * lm.config.max_positions)
+    several = decode.decode_many(lm, prompts, configs)
+    assert sizes == [7, 2, 2, 2, 1]  # two prompts of width 3 fill 6 of the 7 rows
+    for a, b in zip(one, several):
+        assert_same_decode(a, b, 1e-10)
+
+
+def test_failing_prompt_leaves_its_batch_mates_alone():
+    lm = peaked_lm()
+    good = mixed_prompts()[:3]
+    full = (5,) * lm.config.max_positions  # fills every position: one token, no step
+    batch = [good[0], (), good[1], (5,) * (lm.config.max_positions + 1), full, good[2]]
+    configs = fitted(batch, lm, beam_width=5, max_new_tokens=6, stop_token=9)
+    got = beam_search_many(lm_logprob_fn(lm), batch, configs)
+    assert isinstance(got[1], LengthError) and isinstance(got[3], LengthError)
+    assert got[4].n_generated == 1
+    for i in (0, 2, 4, 5):
+        assert_same_decode(got[i], beam_search(lm_logprob_fn(lm), batch[i], configs[i]), 1e-10)
+    with pytest.raises(LengthError):  # the one-prompt search raises it
+        beam_search(lm_logprob_fn(lm), (), configs[0])

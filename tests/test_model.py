@@ -217,6 +217,67 @@ def test_cache_row_permutation_matches_fresh_prefill(dtype):
             assert np.array_equal(got, want) and np.array_equal(got_hf, want_hf)
 
 
+def prefill_rows(weights, cfg, cache, prompts):
+    """Prefill each prompt alone into its own row of ``cache``."""
+    cache.reset(len(prompts))
+    for i, prompt in enumerate(prompts):
+        forward_cached(weights, cfg, [prompt], cache, row=i)
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+def test_mixed_length_step_rows_match_rows_alone(dtype, tol):
+    params, cfg = toy_model(seed=26, dtype=dtype)
+    weights = pack_weights(params, cfg)
+    rng = np.random.default_rng(27)
+    prompts = [rng.integers(0, cfg.vocab, size=n) for n in (5, 12, 1, 9)]
+    nxt = rng.integers(0, cfg.vocab, size=(4, 3))
+    cache = KvCache(cfg, 1, dtype)
+    prefill_rows(weights, cfg, cache, prompts)
+    assert cache.lengths.tolist() == [5, 12, 1, 9]
+    steps = [forward_cached(weights, cfg, nxt[:, j : j + 1], cache)[0] for j in range(3)]
+    assert cache.lengths.tolist() == [8, 15, 4, 12] and cache.length == 15
+    for i, prompt in enumerate(prompts):
+        _, _, alone = forward_cached(weights, cfg, [prompt])
+        for j, got in enumerate(steps):
+            want, _, _ = forward_cached(weights, cfg, nxt[i : i + 1, j : j + 1], alone)
+            np.testing.assert_allclose(got[i], want[0], rtol=0, atol=tol)
+
+
+def test_mixed_length_rows_take_one_token_at_a_time():
+    params, cfg = toy_model(seed=26)
+    weights = pack_weights(params, cfg)
+    cache = KvCache(cfg, 1, np.float32)
+    prefill_rows(weights, cfg, cache, [[1, 2, 3], [4]])
+    with pytest.raises(ValueError):
+        forward_cached(weights, cfg, [[5, 6], [7, 8]], cache)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_unused_cache_columns_never_reach_an_output(dtype):
+    # every buffer column starts as NaN, as in a reused or uninitialised
+    # buffer; a shorter row's masked columns, rows that grow into spare
+    # capacity and moved rows must all read as if the buffers were fresh
+    params, cfg = toy_model(seed=28, dtype=dtype)
+    weights = pack_weights(params, cfg)
+    rng = np.random.default_rng(29)
+    prompts = [rng.integers(0, cfg.vocab, size=n) for n in (6, 11, 2)]
+    nxt = rng.integers(0, cfg.vocab, size=(5, 1))
+
+    def run(cache):
+        prefill_rows(weights, cfg, cache, prompts)
+        outs = []
+        for parents in ([0, 1, 2], [0, 0, 1, 2, 2], [4, 1, 0], [2, 2, 1, 0, 0]):
+            cache.select(parents)
+            outs.append(forward_cached(weights, cfg, nxt[: len(parents)], cache)[0])
+        return outs
+
+    dirty = KvCache(cfg, 6, dtype)
+    for buf in dirty.keys + dirty.values:
+        buf[:] = np.nan
+    for got, want in zip(run(dirty), run(KvCache(cfg, 1, dtype))):
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-10)])
 def test_cached_forward_matches_batched_forward_on_padded_batch(dtype, tol):
     params, cfg = toy_model(seed=8, dtype=dtype)

@@ -1,3 +1,6 @@
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
@@ -89,4 +92,28 @@ def test_rule_decode_fits_position_budget():
     prompt = csi_source(state, state.current_sentence, RelationType.EFFECT)
     decode_cfg = DecodeConfig(beam_width=1, max_new_tokens=48, stop_token=vocab.eos)
     assert len(encode(prompt, vocab)) + decode_cfg.max_new_tokens > cfg.max_positions
-    assert _decode_rules(csi, vocab, state, state.current_sentence, RelationType.EFFECT, decode_cfg)
+    assert _decode_rules(csi, vocab, [(state, state.current_sentence, RelationType.EFFECT)], decode_cfg)[0]
+
+
+def test_overflowing_example_leaves_the_others_rules_alone(overfit_world, caplog):
+    # its decodes fail inside the same batch as the others' and get empty
+    # bundles, one logged failure each; the others decode as without it
+    w = overfit_world
+    vocab, examples = w["vocab"], w["examples"][:3]
+    first = examples[0]
+    long = dataclasses.replace(first, id="long", beginning=(" ".join([first.beginning[0]] * 30),
+                                                            first.beginning[1]))
+    state = StoryState(prefix=long.beginning, ending=long.ending)
+    assert len(encode(csi_source(state, long.ending, RelationType.CAUSE), vocab)) > w["cfg"].max_positions
+    alone = enrich_with_silver(csi_of(w), examples, vocab, Flavor.GENERAL)
+    with caplog.at_level(logging.ERROR, logger="coins.data.silver"):
+        mixed = enrich_with_silver(csi_of(w), [first, long, *examples[1:]], vocab, Flavor.GENERAL)
+    failed = [r for r in caplog.records if r.getMessage().startswith("rule decode failed")]
+    assert len(failed) == 2 * len(long.targets)
+    assert all(not pair.effect.texts and not pair.cause.texts for pair in mixed[1].silver_rules.values())
+
+    def texts(ex):
+        return {it: (p.effect.texts, p.cause.texts) for it, p in ex.silver_rules.items()}
+
+    assert [texts(ex) for ex in alone] == [texts(ex) for ex in mixed[:1] + mixed[2:]]
+    assert all(p.effect.texts for ex in alone for p in ex.silver_rules.values())
